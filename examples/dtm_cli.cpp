@@ -282,10 +282,11 @@ int run_streaming(const ArgParser& args, const TopologyBundle& topo,
 
   StreamingRuntimeOptions opts;
   opts.window = args.get_int("window", opts.window);
-  opts.max_live_admitted =
-      static_cast<std::size_t>(args.get_int("max-live", 0));
   opts.shards = static_cast<std::size_t>(args.get_int("shards", 1));
   opts.admission.policy = parse_admission_policy(args.get("admission", "fixed"));
+  // A fixed bound, or the AIMD starting quota.
+  opts.admission.max_live =
+      static_cast<std::size_t>(args.get_int("max-live", 0));
   StreamingRuntime rt(
       topo.graph(), metric,
       StreamingRuntime::spread_homes(topo.graph(), stream.num_objects), opts);

@@ -1,6 +1,7 @@
 #include "core/io.hpp"
 
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <string>
@@ -37,7 +38,11 @@ class LineReader {
     if (!cond) fail(what);
   }
 
+  /// Unsigned decimal; a sign is rejected (stoull would wrap "-5").
   std::uint64_t to_u64(const std::string& tok) const {
+    if (tok.empty() || tok[0] < '0' || tok[0] > '9') {
+      fail("expected an unsigned number, got '" + tok + "'");
+    }
     try {
       std::size_t pos = 0;
       const std::uint64_t v = std::stoull(tok, &pos);
@@ -48,6 +53,16 @@ class LineReader {
     } catch (...) {
       fail("expected a number, got '" + tok + "'");
     }
+  }
+
+  /// An id narrowed to `Id`, range-checked first; the type's max is the
+  /// invalid-id sentinel, so it is out of range too.
+  template <typename Id>
+  Id to_id(const std::string& tok) const {
+    const std::uint64_t v = to_u64(tok);
+    expect(v < std::numeric_limits<Id>::max(),
+           "id '" + tok + "' out of range");
+    return static_cast<Id>(v);
   }
 
   std::int64_t to_i64(const std::string& tok) const {
@@ -91,8 +106,8 @@ Graph read_graph(std::istream& is) {
   GraphBuilder b(r.to_u64(tok[1]));
   while (r.next(&tok)) {
     r.expect(tok.size() == 4 && tok[0] == "edge", "expected 'edge u v w'");
-    b.add_edge(static_cast<NodeId>(r.to_u64(tok[1])),
-               static_cast<NodeId>(r.to_u64(tok[2])), r.to_i64(tok[3]));
+    b.add_edge(r.to_id<NodeId>(tok[1]), r.to_id<NodeId>(tok[2]),
+               r.to_i64(tok[3]));
   }
   return b.build();
 }
@@ -118,25 +133,28 @@ Instance read_instance(std::istream& is, const Graph& g) {
            "expected header 'dtm-instance v1'");
   r.expect(r.next(&tok) && tok.size() == 2 && tok[0] == "objects",
            "expected 'objects W'");
-  InstanceBuilder b(g, r.to_u64(tok[1]));
+  const std::uint64_t w = r.to_u64(tok[1]);
+  // The object table grows with its records, never from W alone.
+  std::vector<NodeId> homes;
+  while (homes.size() < w) {
+    r.expect(r.next(&tok) && tok.size() == 4 && tok[0] == "object" &&
+                 tok[2] == "home",
+             "expected 'object O home V'");
+    r.expect(r.to_u64(tok[1]) == homes.size(),
+             "object records must list ids 0..W-1 in order");
+    homes.push_back(r.to_id<NodeId>(tok[3]));
+  }
+  InstanceBuilder b(g, homes.size());
+  for (ObjectId o = 0; o < homes.size(); ++o) b.set_object_home(o, homes[o]);
   while (r.next(&tok)) {
-    if (tok[0] == "object") {
-      r.expect(tok.size() == 4 && tok[2] == "home",
-               "expected 'object O home V'");
-      b.set_object_home(static_cast<ObjectId>(r.to_u64(tok[1])),
-                        static_cast<NodeId>(r.to_u64(tok[3])));
-    } else if (tok[0] == "txn") {
-      r.expect(tok.size() >= 4 && tok[1] == "home" && tok[3] == "objs",
-               "expected 'txn home V objs ...'");
-      std::vector<ObjectId> objs;
-      for (std::size_t i = 4; i < tok.size(); ++i) {
-        objs.push_back(static_cast<ObjectId>(r.to_u64(tok[i])));
-      }
-      b.add_transaction(static_cast<NodeId>(r.to_u64(tok[2])),
-                        std::move(objs));
-    } else {
-      r.fail("unknown record '" + tok[0] + "'");
+    r.expect(tok.size() >= 4 && tok[0] == "txn" && tok[1] == "home" &&
+                 tok[3] == "objs",
+             "expected 'txn home V objs ...'");
+    std::vector<ObjectId> objs;
+    for (std::size_t i = 4; i < tok.size(); ++i) {
+      objs.push_back(r.to_id<ObjectId>(tok[i]));
     }
+    b.add_transaction(r.to_id<NodeId>(tok[2]), std::move(objs));
   }
   return b.build();
 }
@@ -162,26 +180,31 @@ Schedule read_schedule(std::istream& is) {
            "expected header 'dtm-schedule v1'");
   r.expect(r.next(&tok) && tok.size() == 2 && tok[0] == "commits",
            "expected 'commits N'");
+  const std::uint64_t n = r.to_u64(tok[1]);
+  // Records list ids in order, so both tables grow with their records.
   Schedule s;
-  s.commit_time.assign(r.to_u64(tok[1]), 0);
   while (r.next(&tok)) {
     if (tok[0] == "commit") {
       r.expect(tok.size() == 4 && tok[2] == "step",
                "expected 'commit T step S'");
-      const auto t = r.to_u64(tok[1]);
-      r.expect(t < s.commit_time.size(), "commit id out of range");
-      s.commit_time[t] = r.to_i64(tok[3]);
+      r.expect(r.to_u64(tok[1]) == s.commit_time.size(),
+               "commit records must list ids 0..N-1 in order");
+      s.commit_time.push_back(r.to_i64(tok[3]));
     } else if (tok[0] == "order") {
       r.expect(tok.size() >= 2, "expected 'order O t...'");
-      const auto o = r.to_u64(tok[1]);
-      if (o >= s.object_order.size()) s.object_order.resize(o + 1);
+      r.expect(r.to_u64(tok[1]) == s.object_order.size(),
+               "order records must list object ids 0, 1, ... in order");
+      std::vector<TxnId>& chain = s.object_order.emplace_back();
       for (std::size_t i = 2; i < tok.size(); ++i) {
-        s.object_order[o].push_back(static_cast<TxnId>(r.to_u64(tok[i])));
+        chain.push_back(r.to_id<TxnId>(tok[i]));
       }
     } else {
       r.fail("unknown record '" + tok[0] + "'");
     }
   }
+  r.expect(s.commit_time.size() == n, "expected " + std::to_string(n) +
+                                          " commit records, got " +
+                                          std::to_string(s.commit_time.size()));
   return s;
 }
 

@@ -10,7 +10,10 @@
 //   ...                 txn home V objs O...   order O t1 t2 ...
 //
 // Readers validate aggressively and throw dtm::Error with a line number on
-// malformed input.
+// malformed input. Numbers are unsigned decimals, ids are range-checked
+// before narrowing, and object/commit/order records list their ids
+// 0, 1, ... in the writer's order, so every table is sized by the records
+// the file holds, never by a declared count alone.
 #pragma once
 
 #include <iosfwd>

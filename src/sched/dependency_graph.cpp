@@ -44,19 +44,56 @@ DependencyGraph build_dependency_graph(const Instance& inst,
   return build_dependency_graph(inst, metric, all);
 }
 
+DependencyGraph merge_shard_subgraphs(std::span<const TxnId> window,
+                                      std::span<const ShardSubgraph> views) {
+  const std::size_t n = window.size();
+  const std::size_t S = views.size();
+  DependencyGraph h;
+  h.txns.assign(window.begin(), window.end());
+  h.offsets.assign(n + 1, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    std::size_t deg = 0;
+    for (const ShardSubgraph& v : views) deg += v.offsets[i + 1] - v.offsets[i];
+    h.offsets[i + 1] = h.offsets[i] + static_cast<std::uint32_t>(deg);
+    h.max_degree = std::max(h.max_degree, deg);
+  }
+  // Per-node slices ascend in every view and a conflict pair lives in
+  // exactly one view, so repeatedly taking the smallest head neighbor
+  // yields the batch builder's ascending-local-index order with no sort.
+  h.edges.resize(h.offsets[n]);
+  std::vector<std::uint32_t> cur(S);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t s = 0; s < S; ++s) cur[s] = views[s].offsets[i];
+    for (std::uint32_t e = h.offsets[i]; e < h.offsets[i + 1]; ++e) {
+      std::size_t best = S;
+      for (std::size_t s = 0; s < S; ++s) {
+        if (cur[s] == views[s].offsets[i + 1]) continue;
+        if (best == S || views[s].edges[cur[s]].neighbor <
+                             views[best].edges[cur[best]].neighbor) {
+          best = s;
+        }
+      }
+      DTM_ASSERT(best < S);
+      h.edges[e] = views[best].edges[cur[best]++];
+    }
+  }
+  for (const ShardSubgraph& v : views) {
+    h.max_edge_weight = std::max(h.max_edge_weight, v.max_edge_weight);
+  }
+  return h;
+}
+
 // --- incremental graph -------------------------------------------------
 
 IncrementalConflictGraph::IncrementalConflictGraph(const Metric& metric,
                                                    std::size_t num_objects)
-    : metric_(&metric), pools_(1), live_req_(num_objects),
-      cursor_scratch_(1), cursor_local_scratch_(1) {}
+    : metric_(&metric), pools_(1), live_req_(num_objects) {}
 
 IncrementalConflictGraph::IncrementalConflictGraph(
     const Metric& metric, std::vector<std::uint32_t> object_shard,
     std::size_t num_shards)
     : metric_(&metric), pools_(num_shards),
-      object_shard_(std::move(object_shard)), live_req_(object_shard_.size()),
-      cursor_scratch_(num_shards), cursor_local_scratch_(num_shards) {
+      object_shard_(std::move(object_shard)), live_req_(object_shard_.size()) {
   DTM_REQUIRE(num_shards >= 1, "incremental graph: need at least one shard");
   for (std::uint32_t s : object_shard_) {
     DTM_REQUIRE(s < num_shards,
@@ -168,83 +205,21 @@ std::size_t IncrementalConflictGraph::arc_pool_bytes() const {
 
 DependencyGraph IncrementalConflictGraph::subgraph(
     std::span<const TxnId> txns) const {
-  DependencyGraph h;
-  h.txns.assign(txns.begin(), txns.end());
-  const std::size_t n = h.txns.size();
-  DTM_REQUIRE(std::is_sorted(h.txns.begin(), h.txns.end()) &&
-                  std::adjacent_find(h.txns.begin(), h.txns.end()) ==
-                      h.txns.end(),
+  DTM_REQUIRE(std::is_sorted(txns.begin(), txns.end()) &&
+                  std::adjacent_find(txns.begin(), txns.end()) == txns.end(),
               "incremental subgraph: subset must be ascending and "
               "duplicate-free");
-
-  // Global id -> local index for the subset (binary search keeps this
-  // allocation-light; windows are small relative to the stream).
-  auto local_of = [&](TxnId g) -> TxnId {
-    auto it = std::lower_bound(h.txns.begin(), h.txns.end(), g);
-    return it != h.txns.end() && *it == g
-               ? static_cast<TxnId>(it - h.txns.begin())
-               : kInvalidTxn;
-  };
-
-  // Pass 1: exact degrees (chains filtered to subset members).
-  h.offsets.assign(n + 1, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    DTM_REQUIRE(h.txns[i] < num_txns_,
-                "incremental subgraph: T" << h.txns[i] << " never added");
-    std::size_t deg = 0;
-    for (const Pool& pool : pools_) {
-      for (std::int32_t a = chain_head(pool, h.txns[i]); a != -1;
-           a = pool.arcs[a].next) {
-        if (local_of(pool.arcs[a].to) != kInvalidTxn) ++deg;
-      }
-    }
-    h.offsets[i + 1] = h.offsets[i] + static_cast<std::uint32_t>(deg);
-    h.max_degree = std::max(h.max_degree, deg);
+  std::vector<TxnId> local_of(num_txns_, kInvalidTxn);
+  for (std::size_t i = 0; i < txns.size(); ++i) {
+    DTM_REQUIRE(txns[i] < num_txns_,
+                "incremental subgraph: T" << txns[i] << " never added");
+    local_of[txns[i]] = static_cast<TxnId>(i);
   }
-
-  // Pass 2: fill by k-way merge of the per-pool chains. Every chain is
-  // ascending by neighbor id (tail insertion, see add_txn) and a pair
-  // lives in exactly one pool, so picking the smallest live cursor yields
-  // the batch builder's ascending-local-index order with no sort and no
-  // allocation beyond the exact-sized edge array.
-  h.edges.resize(h.offsets[n]);
-  auto& cur = cursor_scratch_;
-  auto& cur_local = cursor_local_scratch_;
-  const std::size_t S = pools_.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    // Park each pool's cursor on its first in-subset arc.
-    for (std::size_t s = 0; s < S; ++s) {
-      std::int32_t a = chain_head(pools_[s], h.txns[i]);
-      TxnId l = kInvalidTxn;
-      while (a != -1 &&
-             (l = local_of(pools_[s].arcs[a].to)) == kInvalidTxn) {
-        a = pools_[s].arcs[a].next;
-      }
-      cur[s] = a;
-      cur_local[s] = a != -1 ? l : kInvalidTxn;
-    }
-    for (std::uint32_t e = h.offsets[i]; e < h.offsets[i + 1]; ++e) {
-      std::size_t best = S;
-      for (std::size_t s = 0; s < S; ++s) {
-        if (cur[s] == -1) continue;
-        if (best == S || cur_local[s] < cur_local[best]) best = s;
-      }
-      DTM_ASSERT(best < S);
-      const Arc& arc = pools_[best].arcs[cur[best]];
-      h.edges[e] = {cur_local[best], arc.weight};
-      h.max_edge_weight = std::max(h.max_edge_weight, arc.weight);
-      // Advance the winning cursor to its next in-subset arc.
-      std::int32_t a = arc.next;
-      TxnId l = kInvalidTxn;
-      while (a != -1 &&
-             (l = local_of(pools_[best].arcs[a].to)) == kInvalidTxn) {
-        a = pools_[best].arcs[a].next;
-      }
-      cur[best] = a;
-      cur_local[best] = a != -1 ? l : kInvalidTxn;
-    }
+  std::vector<ShardSubgraph> views(pools_.size());
+  for (std::size_t s = 0; s < pools_.size(); ++s) {
+    shard_subgraph(s, txns, local_of, views[s]);
   }
-  return h;
+  return merge_shard_subgraphs(txns, views);
 }
 
 void IncrementalConflictGraph::shard_subgraph(std::size_t s,

@@ -82,6 +82,13 @@ struct ShardSubgraph {
   Weight max_edge_weight = 0;
 };
 
+/// Assembles the window CSR over `window` from per-shard slices of it
+/// (every conflict pair in exactly one slice): a sortless k-way merge of
+/// each node's ascending slices, so the edge order is
+/// build_dependency_graph's ascending local index.
+DependencyGraph merge_shard_subgraphs(std::span<const TxnId> window,
+                                      std::span<const ShardSubgraph> views);
+
 /// H maintained under transaction *arrival* (sim/runtime.hpp's streaming
 /// ingest). Each add_txn() inserts only the delta — edges from the new
 /// transaction to the still-live (uncommitted) requesters of its objects —
@@ -96,9 +103,10 @@ struct ShardSubgraph {
 /// output). retire() removes a committed transaction from the live
 /// requester sets so future arrivals stop conflicting with it (its
 /// historical arcs stay in the pool, which keeps retire O(k)).
-/// subgraph() exports any subset — in practice a scheduling window's
-/// batch — as the standard CSR DependencyGraph that greedy_color()
-/// consumes, filtering pool arcs to subset members.
+/// A subset — in practice a scheduling window's batch — is exported as the
+/// standard CSR DependencyGraph that greedy_color() consumes in two steps:
+/// shard_subgraph() filters each pool's arcs to subset members, and
+/// merge_shard_subgraphs() joins the slices.
 class IncrementalConflictGraph {
  public:
   /// Single-pool graph (the shards=1 streaming path and the tests).
@@ -121,7 +129,9 @@ class IncrementalConflictGraph {
 
   /// CSR view over `txns` (ascending ids already added); only edges with
   /// both endpoints in the subset are included. Local indices follow the
-  /// subset's order, matching build_dependency_graph's convention.
+  /// subset's order, matching build_dependency_graph's convention. One-shot
+  /// form of the streaming runtime's window extraction: every
+  /// shard_subgraph() slice, merged.
   DependencyGraph subgraph(std::span<const TxnId> txns) const;
 
   /// Shard `s`'s slice of the window: pool-s arcs with both endpoints in
@@ -177,13 +187,11 @@ class IncrementalConflictGraph {
   std::size_t num_arcs_ = 0;
   Weight max_w_ = 0;
   std::size_t live_ = 0;
-  /// Reused scratch: (partner, owning shard) pairs during add_txn, chain
-  /// cursors during subgraph's k-way merge.
+  /// Reused add_txn scratch: (partner, owning shard) pairs and their
+  /// batched distance query.
   std::vector<std::pair<TxnId, std::uint32_t>> partner_scratch_;
   std::vector<NodeId> target_scratch_;
   std::vector<Weight> dist_scratch_;
-  mutable std::vector<std::int32_t> cursor_scratch_;
-  mutable std::vector<TxnId> cursor_local_scratch_;
 };
 
 namespace detail {

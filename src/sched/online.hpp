@@ -20,8 +20,10 @@
 //  * OnlineBatchScheduler — accumulate pushes into windows of `window`
 //    steps; when a window closes (a push lands in a later window, or
 //    advance_to/finish passes the close) run the offline §2.3 greedy
-//    coloring on the batch and append it after the current horizon. Within
-//    a batch the offline guarantees apply, so the competitive factor is
+//    coloring on the batch and append it after the current horizon with
+//    WindowPlacer (sched/window_placement.hpp) — the same placement the
+//    streaming runtime (sim/runtime.hpp) applies to its windows. Within a
+//    batch the offline guarantees apply, so the competitive factor is
 //    O(k·ℓ_batch) per window plus the windowing delay.
 //
 // run_online(inst, metric, arrival) survives as a NON-virtual adapter that
@@ -38,6 +40,7 @@
 #include "core/online.hpp"
 #include "sched/greedy.hpp"
 #include "sched/scheduler.hpp"
+#include "sched/window_placement.hpp"
 #include "util/telemetry.hpp"
 
 namespace dtm {
@@ -165,9 +168,7 @@ class OnlineBatchScheduler final : public OnlineScheduler {
 
   std::unique_ptr<ScopedPhaseTimer> timer_;  // spans the feed
   std::vector<Time> commit_;
-  std::vector<std::vector<TxnId>> chains_;
-  std::vector<NodeId> pos_;
-  Time horizon_ = 0;
+  WindowPlacer placer_;
   std::vector<TxnId> batch_;   // open window's releases, push order
   Time batch_window_ = 0;      // open window's index (batch_ nonempty)
 };

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <numeric>
+#include <optional>
 #include <utility>
 
 #include "sim/engine.hpp"
@@ -31,6 +32,42 @@ IncrementalConflictGraph make_dep(const Metric& metric, const ShardMap& map,
                                   map.num_shards);
 }
 
+// Runs fn(s) for every shard s. One shard runs inline on the calling
+// thread, untimed and untraced, so a 1-shard stream touches no pool and
+// records exactly a sequential loop's telemetry. More shards fan out over
+// the shared pool; each task feeds the shard-task timer and — when tracing
+// — a kShard wall span on the executing worker's track, so the fan-out is
+// visible as per-shard tracks in the trace viewer.
+template <typename Fn>
+void for_each_shard(std::size_t num_shards, const char* what, const Fn& fn) {
+  if (num_shards == 1) {
+    fn(std::size_t{0});
+    return;
+  }
+  TelemetryRegistry& reg = TelemetryRegistry::global();
+  TraceRecorder& tracer = TraceRecorder::global();
+  parallel_for(shared_pool(), num_shards, [&](std::size_t s) {
+    const bool timed = reg.enabled();
+    const bool traced = tracer.enabled();
+    const auto begin = std::chrono::steady_clock::now();
+    fn(s);
+    if (!timed && !traced) return;
+    const auto end = std::chrono::steady_clock::now();
+    if (traced) {
+      tracer.wall_span(TraceCat::kShard,
+                       std::string(what) + " s" + std::to_string(s), begin,
+                       end);
+    }
+    if (timed) {
+      reg.record_timer(
+          "phase.stream.shard_task",
+          static_cast<std::uint64_t>(
+              std::chrono::duration_cast<std::chrono::nanoseconds>(end - begin)
+                  .count()));
+    }
+  });
+}
+
 }  // namespace
 
 StreamingRuntime::StreamingRuntime(const Graph& g, const Metric& metric,
@@ -40,6 +77,7 @@ StreamingRuntime::StreamingRuntime(const Graph& g, const Metric& metric,
       metric_(&metric),
       opts_(opts),
       object_home_(std::move(object_home)),
+      placer_(metric, object_home_),
       shard_map_(make_shard_map(g, std::max<std::size_t>(opts.shards, 1))),
       dep_(make_dep(metric, shard_map_, object_home_)),
       next_close_(opts.window) {
@@ -47,19 +85,11 @@ StreamingRuntime::StreamingRuntime(const Graph& g, const Metric& metric,
   for (NodeId v : object_home_) {
     DTM_REQUIRE(v < g.num_nodes(), "object home out of range");
   }
-  chains_.assign(object_home_.size(), {});
-  pos_ = object_home_;
   // make_shard_map clamps to [1, num_nodes]; follow the effective count.
   opts_.shards = shard_map_.num_shards;
   shard_stats_.num_shards = shard_map_.num_shards;
   shard_stats_.scheme = shard_map_.scheme;
-
-  // The admission seam: the legacy max_live_admitted field doubles as the
-  // fixed quota (or the AIMD starting quota) when admission.max_live is
-  // unset, so PR 8 call sites reproduce bit for bit.
-  AdmissionConfig ac = opts_.admission;
-  if (ac.max_live == 0) ac.max_live = opts_.max_live_admitted;
-  admission_ = make_admission_controller(ac);
+  admission_ = make_admission_controller(opts_.admission);
 }
 
 std::vector<NodeId> StreamingRuntime::spread_homes(const Graph& g,
@@ -92,20 +122,19 @@ TxnId StreamingRuntime::ingest(const ArrivingTxn& txn) {
   // new transaction never joins a window earlier arrivals already fixed.
   close_windows_through(txn.arrival);
 
-  const auto id = static_cast<TxnId>(home_.size());
-  home_.push_back(txn.home);
-  objects_.push_back(std::move(objects));
+  const auto id = static_cast<TxnId>(txns_.size());
+  txns_.push_back({id, txn.home, std::move(objects)});
+  const std::vector<ObjectId>& objs = txns_.back().objects;
   arrival_.push_back(txn.arrival);
   commit_.push_back(0);
-  dep_.add_txn(id, txn.home, objects_[id]);
+  dep_.add_txn(id, txn.home, objs);
   if (opts_.shards > 1) {
     // Owning shard, or the cross-shard sentinel (== num_shards) when the
     // transaction's objects span shards; objectless txns are conflict-free
     // and parked in shard 0.
     auto shard = static_cast<std::uint32_t>(
-        objects_[id].empty() ? 0
-                             : shard_map_.shard_of(object_home_[objects_[id][0]]));
-    for (ObjectId o : objects_[id]) {
+        objs.empty() ? 0 : shard_map_.shard_of(object_home_[objs[0]]));
+    for (ObjectId o : objs) {
       if (shard_map_.shard_of(object_home_[o]) != shard) {
         shard = static_cast<std::uint32_t>(opts_.shards);
         break;
@@ -160,7 +189,7 @@ std::size_t StreamingRuntime::retire_through(Time step) {
   while (!pending_commits_.empty() && pending_commits_.top().first <= step) {
     const TxnId t = pending_commits_.top().second;
     pending_commits_.pop();
-    dep_.retire(t, objects_[t]);
+    dep_.retire(t, txns_[t].objects);
     DTM_ASSERT(live_admitted_ > 0);
     --live_admitted_;
     ++stats_.committed;
@@ -236,37 +265,12 @@ void StreamingRuntime::schedule_window(Time close,
   }
   std::sort(batch.begin(), batch.end());  // backlog ids precede fresh ids
 
-  // Delta coloring: the batch's subgraph view of the incremental conflict
-  // graph, colored by the §2.3 greedy and placed after the live horizon —
-  // the same placement arithmetic as OnlineBatchScheduler::flush_batch.
+  // Delta coloring: the batch's window view of the incremental conflict
+  // graph, colored by the §2.3 greedy and placed after the live horizon by
+  // the placement OnlineBatchScheduler shares (sched/window_placement.hpp).
   const ColoredSubset colored = color_batch(batch);
-  const Time base = std::max(horizon_, close - 1);
-
-  const std::size_t w = object_home_.size();
-  std::vector<Time> first_t(w, kInfiniteWeight), last_t(w, 0);
-  std::vector<NodeId> first_v(w, kInvalidNode), last_v(w, kInvalidNode);
-  for (std::size_t i = 0; i < colored.txns.size(); ++i) {
-    const TxnId t = colored.txns[i];
-    for (ObjectId o : objects_[t]) {
-      if (colored.local_time[i] < first_t[o]) {
-        first_t[o] = colored.local_time[i];
-        first_v[o] = home_[t];
-      }
-      if (colored.local_time[i] >= last_t[o]) {
-        last_t[o] = colored.local_time[i];
-        last_v[o] = home_[t];
-      }
-    }
-  }
-  Weight transition = 0;
-  for (ObjectId o = 0; o < w; ++o) {
-    if (first_v[o] != kInvalidNode) {
-      transition = std::max(transition, metric_->distance(pos_[o], first_v[o]));
-    }
-  }
-  for (std::size_t i = 0; i < colored.txns.size(); ++i) {
-    const TxnId t = colored.txns[i];
-    commit_[t] = base + transition + colored.local_time[i];
+  const Time start = placer_.place(colored, close, txns_, commit_);
+  for (const TxnId t : colored.txns) {
     pending_commits_.emplace(commit_[t], t);
     stats_.makespan = std::max(stats_.makespan, commit_[t]);
   }
@@ -274,7 +278,7 @@ void StreamingRuntime::schedule_window(Time close,
     // Per-transaction latency stages. They tile commit - arrival exactly:
     // the admit wait runs from arrival to the admitting window's close - 1
     // (>= 0: members arrived before the close), the scheduling gap is the
-    // horizon/transition placement past the close (>= 0: base >= close - 1),
+    // horizon/transition placement past the close (>= 0: start >= close - 1),
     // and the commit wait is the in-window color slot (>= 1).
     static MetricHistogram& h_wait =
         metrics::histogram("stream.latency.arrival_to_admit");
@@ -287,30 +291,11 @@ void StreamingRuntime::schedule_window(Time close,
     for (std::size_t i = 0; i < colored.txns.size(); ++i) {
       const TxnId t = colored.txns[i];
       h_wait.record(static_cast<std::uint64_t>(close - 1 - arrival_[t]));
-      h_sched.record(
-          static_cast<std::uint64_t>(base + transition - (close - 1)));
+      h_sched.record(static_cast<std::uint64_t>(start - (close - 1)));
       h_commit.record(static_cast<std::uint64_t>(colored.local_time[i]));
       h_total.record(static_cast<std::uint64_t>(commit_[t] - arrival_[t]));
     }
   }
-  std::vector<std::size_t> by_color(colored.txns.size());
-  for (std::size_t i = 0; i < by_color.size(); ++i) by_color[i] = i;
-  std::sort(by_color.begin(), by_color.end(),
-            [&](std::size_t a, std::size_t b) {
-              return colored.local_time[a] != colored.local_time[b]
-                         ? colored.local_time[a] < colored.local_time[b]
-                         : colored.txns[a] < colored.txns[b];
-            });
-  for (std::size_t i : by_color) {
-    for (ObjectId o : objects_[colored.txns[i]]) {
-      chains_[o].push_back(colored.txns[i]);
-    }
-  }
-  for (ObjectId o = 0; o < w; ++o) {
-    if (last_v[o] != kInvalidNode) pos_[o] = last_v[o];
-  }
-  horizon_ = std::max(horizon_, base + transition + colored.duration);
-
   stats_.admitted += batch.size();
   ++stats_.windows;
   telemetry::count("stream.windows");
@@ -335,103 +320,41 @@ void StreamingRuntime::schedule_window(Time close,
 }
 
 ColoredSubset StreamingRuntime::color_batch(const std::vector<TxnId>& batch) {
-  if (opts_.shards <= 1) {
-    const DependencyGraph h = dep_.subgraph(batch);
-    return greedy_color(h, opts_.rule);
-  }
-  return color_batch_sharded(batch);
+  const DependencyGraph h = window_view(batch);
+  return opts_.shards <= 1 ? greedy_color(h, opts_.rule) : color_sharded(h);
 }
 
-ColoredSubset StreamingRuntime::color_batch_sharded(
+DependencyGraph StreamingRuntime::window_view(
     const std::vector<TxnId>& batch) {
-  const std::size_t n = batch.size();
-  const std::size_t S = opts_.shards;
-  TelemetryRegistry& reg = TelemetryRegistry::global();
-  TraceRecorder& tracer = TraceRecorder::global();
-
-  // Runs `fn` as one shard's task, feeding the shard-task timer and — when
-  // tracing — a kShard wall span on the executing worker's track, so the
-  // fan-out is visible as per-shard tracks in the trace viewer.
-  const auto shard_task = [&](const char* what, std::size_t s,
-                              const auto& fn) {
-    const bool timed = reg.enabled();
-    const bool traced = tracer.enabled();
-    const auto begin = std::chrono::steady_clock::now();
-    fn();
-    if (!timed && !traced) return;
-    const auto end = std::chrono::steady_clock::now();
-    if (traced) {
-      tracer.wall_span(TraceCat::kShard,
-                       std::string(what) + " s" + std::to_string(s), begin,
-                       end);
-    }
-    if (timed) {
-      reg.record_timer(
-          "phase.stream.shard_task",
-          static_cast<std::uint64_t>(
-              std::chrono::duration_cast<std::chrono::nanoseconds>(end - begin)
-                  .count()));
-    }
-  };
-
   // Window-local index table, dense over all ingested ids (entries are
   // restored to kInvalidTxn before returning, so only touched slots pay).
   if (local_tbl_.size() < dep_.num_txns()) {
     local_tbl_.resize(dep_.num_txns(), kInvalidTxn);
   }
-  for (std::size_t i = 0; i < n; ++i) {
+  for (std::size_t i = 0; i < batch.size(); ++i) {
     local_tbl_[batch[i]] = static_cast<TxnId>(i);
   }
-
-  // 1. Per-shard window views, extracted concurrently (each task reads
-  // only its own pool's chains).
-  views_.resize(S);
+  // Per-shard slices, extracted concurrently with shards > 1 (each task
+  // reads only its own pool's chains), then merged in order.
+  views_.resize(opts_.shards);
   {
-    ScopedPhaseTimer timer("phase.stream.shard_extract");
-    parallel_for(shared_pool(), S, [&](std::size_t s) {
-      shard_task("extract", s, [&] {
-        dep_.shard_subgraph(s, batch, local_tbl_, views_[s]);
-      });
+    std::optional<ScopedPhaseTimer> timer;
+    if (opts_.shards > 1) timer.emplace("phase.stream.shard_extract");
+    for_each_shard(opts_.shards, "extract", [&](std::size_t s) {
+      dep_.shard_subgraph(s, batch, local_tbl_, views_[s]);
     });
   }
+  DependencyGraph h = merge_shard_subgraphs(batch, views_);
+  for (TxnId t : batch) local_tbl_[t] = kInvalidTxn;
+  return h;
+}
 
-  // 2. Deterministic sequential merge into the window CSR. Per-node
-  // slices are ascending in every view and a conflict pair lives in
-  // exactly one pool, so a smallest-neighbor k-way merge reproduces
-  // subgraph()'s ascending-local-index edge order exactly.
-  DependencyGraph h;
-  h.txns = batch;
-  h.offsets.assign(n + 1, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    std::size_t deg = 0;
-    for (std::size_t s = 0; s < S; ++s) {
-      deg += views_[s].offsets[i + 1] - views_[s].offsets[i];
-    }
-    h.offsets[i + 1] = h.offsets[i] + static_cast<std::uint32_t>(deg);
-    h.max_degree = std::max(h.max_degree, deg);
-  }
-  h.edges.resize(h.offsets[n]);
-  merge_cur_.resize(S);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t s = 0; s < S; ++s) merge_cur_[s] = views_[s].offsets[i];
-    for (std::uint32_t e = h.offsets[i]; e < h.offsets[i + 1]; ++e) {
-      std::size_t best = S;
-      for (std::size_t s = 0; s < S; ++s) {
-        if (merge_cur_[s] == views_[s].offsets[i + 1]) continue;
-        if (best == S || views_[s].edges[merge_cur_[s]].neighbor <
-                             views_[best].edges[merge_cur_[best]].neighbor) {
-          best = s;
-        }
-      }
-      DTM_ASSERT(best < S);
-      h.edges[e] = views_[best].edges[merge_cur_[best]++];
-    }
-  }
-  for (std::size_t s = 0; s < S; ++s) {
-    h.max_edge_weight = std::max(h.max_edge_weight, views_[s].max_edge_weight);
-  }
+ColoredSubset StreamingRuntime::color_sharded(const DependencyGraph& h) {
+  const std::vector<TxnId>& batch = h.txns;
+  const std::size_t n = batch.size();
+  const std::size_t S = opts_.shards;
 
-  // 3. Taint walk: components containing a cross-shard transaction go to
+  // Taint walk: components containing a cross-shard transaction go to
   // the sequential fix-up pass. Everything untainted is pure-shard, and
   // an edge between two pure-shard transactions pins both to the shared
   // object's shard — so untainted components are confined to one shard
@@ -468,7 +391,7 @@ ColoredSubset StreamingRuntime::color_batch_sharded(
     }
   }
 
-  // 4. Color: shard-confined members concurrently, each in ascending
+  // Color: shard-confined members concurrently, each in ascending
   // local order against the window-global h_max/Δ, then the tainted
   // components sequentially — per-component ascending coloring equals the
   // global ascending coloring, so this matches greedy_color(h) bit for
@@ -481,13 +404,11 @@ ColoredSubset StreamingRuntime::color_batch_sharded(
     ScopedPhaseTimer timer("phase.coloring");
     probes_scratch_.assign(S, 0);
     durs_scratch_.assign(S, 0);
-    parallel_for(shared_pool(), S, [&](std::size_t s) {
-      shard_task("color", s, [&] {
-        durs_scratch_[s] =
-            greedy_color_members(h, opts_.rule, hmax, h.max_degree,
-                                 shard_members_[s], out.local_time,
-                                 &probes_scratch_[s]);
-      });
+    for_each_shard(S, "color", [&](std::size_t s) {
+      durs_scratch_[s] = greedy_color_members(h, opts_.rule, hmax,
+                                              h.max_degree, shard_members_[s],
+                                              out.local_time,
+                                              &probes_scratch_[s]);
     });
     std::uint64_t probes = std::accumulate(probes_scratch_.begin(),
                                            probes_scratch_.end(),
@@ -513,8 +434,6 @@ ColoredSubset StreamingRuntime::color_batch_sharded(
   }
   telemetry::count("stream.shard_local_txns", n - cross);
   telemetry::count("stream.shard_cross_txns", cross);
-
-  for (std::size_t i = 0; i < n; ++i) local_tbl_[batch[i]] = kInvalidTxn;
   return out;
 }
 
@@ -568,9 +487,7 @@ const StreamStats& StreamingRuntime::drain() {
 Instance StreamingRuntime::materialize() const {
   InstanceBuilder b(*g_, object_home_.size());
   b.allow_shared_homes();
-  for (std::size_t t = 0; t < home_.size(); ++t) {
-    b.add_transaction(home_[t], objects_[t]);
-  }
+  for (const Transaction& t : txns_) b.add_transaction(t.home, t.objects);
   for (ObjectId o = 0; o < object_home_.size(); ++o) {
     b.set_object_home(o, object_home_[o]);
   }
@@ -580,7 +497,7 @@ Instance StreamingRuntime::materialize() const {
 Schedule StreamingRuntime::schedule() const {
   Schedule s;
   s.commit_time = commit_;
-  s.object_order = chains_;
+  s.object_order = placer_.chains();
   return s;
 }
 

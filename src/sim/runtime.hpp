@@ -18,22 +18,18 @@
 //     (sim/admission.hpp: a fixed bound, or AIMD closed-loop control fed
 //     by backlog/commit feedback); the excess stays in a FIFO backlog and
 //     is counted, so overload sheds latency instead of memory;
-//   * schedule — the admitted batch is colored by the §2.3 greedy
-//     (sched/greedy's coloring over a subgraph *view* extracted from the
-//     incremental graph) and placed after the live horizon exactly like
-//     OnlineBatchScheduler places its windows: base = max(horizon,
-//     close-1), plus the worst transition distance from each object's
-//     current chain tail. Feasibility is by construction — the same
-//     triangle-inequality argument as the batch scheduler's.
-//     With shards > 1 the coloring step fans out over the thread pool
-//     (DESIGN.md §10): the conflict graph keeps one arc pool per shard of
-//     a locality partition of the substrate (graph/partition.hpp — an
-//     object belongs to its home node's shard), per-shard window views
-//     are extracted concurrently and k-way merged into the window CSR,
-//     conflict components confined to one shard are colored in parallel,
-//     and components spanning shards — found by a taint walk from
-//     cross-shard transactions — are colored by a sequential fix-up pass.
-//     A greedy color depends only on already-colored same-component
+//   * schedule — the admitted batch's window view (its CSR, built one way
+//     at every shard count: one slice per arc pool, extracted on the
+//     thread pool with shards > 1 and inline at 1, then k-way merged) is
+//     colored by the §2.3 greedy and placed after the live horizon by
+//     WindowPlacer (sched/window_placement.hpp), the placement
+//     OnlineBatchScheduler shares. With shards > 1 (DESIGN.md §10) the
+//     conflict graph keeps one arc pool per shard of a locality partition
+//     of the substrate (graph/partition.hpp — an object belongs to its
+//     home node's shard); conflict components confined to one shard are
+//     colored in parallel, and components spanning shards — found by a
+//     taint walk from cross-shard transactions — by a sequential fix-up
+//     pass. A greedy color depends only on already-colored same-component
 //     neighbors plus window-global h_max/Δ, so the sharded schedule is
 //     bit-identical to the shards=1 schedule;
 //   * commit — commit steps are tracked against the stream clock; when the
@@ -62,6 +58,7 @@
 #include "graph/partition.hpp"
 #include "sched/dependency_graph.hpp"
 #include "sched/greedy.hpp"
+#include "sched/window_placement.hpp"
 #include "sim/admission.hpp"
 
 namespace dtm {
@@ -71,15 +68,10 @@ struct StreamingRuntimeOptions {
   /// scheduled when their window closes.
   Time window = 16;
   ColoringRule rule = ColoringRule::kFirstFit;
-  /// Backpressure bound: a batch member is admitted only while fewer than
-  /// this many admitted transactions are still uncommitted at the window
-  /// close; the rest wait in the FIFO backlog. 0 = admit everything.
-  /// Shorthand for admission = {kFixed, max_live_admitted}; ignored when
-  /// `admission.max_live` is set.
-  std::size_t max_live_admitted = 0;
-  /// Closed-loop admission control (sim/admission.hpp). The default —
-  /// kFixed with max_live 0 — falls back to max_live_admitted above,
-  /// reproducing the PR 8 behavior bit for bit.
+  /// Backpressure (sim/admission.hpp): a batch member is admitted only
+  /// while fewer than the controller's quota of admitted transactions are
+  /// still uncommitted at the window close; the rest wait in the FIFO
+  /// backlog. The default — kFixed with max_live 0 — admits everything.
   AdmissionConfig admission;
   /// Conflict-graph shards: 1 = the sequential path; k > 1 partitions the
   /// substrate into k locality shards (graph/partition.hpp) and colors
@@ -185,11 +177,14 @@ class StreamingRuntime {
   /// Schedules one window: retire commits the clock passed, admit, color
   /// the batch subgraph, place after the horizon.
   void schedule_window(Time close, std::vector<TxnId>&& fresh);
-  /// Colors the admitted batch: shards=1 takes the sequential subgraph
-  /// path, shards>1 the parallel extract/merge/color pipeline. Both emit
-  /// identical greedy.* telemetry and identical colors.
+  /// Colors the admitted batch's window view: shards=1 runs the sequential
+  /// greedy, shards>1 the component-parallel coloring. Both emit identical
+  /// greedy.* telemetry and identical colors.
   ColoredSubset color_batch(const std::vector<TxnId>& batch);
-  ColoredSubset color_batch_sharded(const std::vector<TxnId>& batch);
+  /// The batch's window CSR at every shard count: per-shard slices
+  /// (extracted on the thread pool with shards > 1), k-way merged.
+  DependencyGraph window_view(const std::vector<TxnId>& batch);
+  ColoredSubset color_sharded(const DependencyGraph& h);
   /// Commits the clock passed; returns how many transactions retired.
   std::size_t retire_through(Time step);
   void sample_backlog();
@@ -199,16 +194,12 @@ class StreamingRuntime {
   StreamingRuntimeOptions opts_;
 
   // Stream transcript (runtime ids are dense, in arrival order).
-  std::vector<NodeId> home_;
-  std::vector<std::vector<ObjectId>> objects_;
+  std::vector<Transaction> txns_;
   ArrivalTimes arrival_;
   std::vector<Time> commit_;
 
-  // Chain state (same shape as OnlineBatchScheduler's).
-  std::vector<NodeId> object_home_;          // initial placement
-  std::vector<std::vector<TxnId>> chains_;   // per object, time order
-  std::vector<NodeId> pos_;                  // chain-tail positions
-  Time horizon_ = 0;
+  std::vector<NodeId> object_home_;  // initial placement
+  WindowPlacer placer_;              // chain state, shared placement
 
   // Shard partition (only populated with opts.shards > 1).
   ShardMap shard_map_;
@@ -217,20 +208,19 @@ class StreamingRuntime {
   /// (only maintained with opts.shards > 1).
   std::vector<std::uint32_t> txn_shard_;
 
-  // Reused sharded-window scratch (allocation-free steady state).
+  // Reused window scratch (allocation-free steady state).
   std::vector<TxnId> local_tbl_;        // global id -> window-local index
   std::vector<ShardSubgraph> views_;    // per-shard window slices
   std::vector<std::vector<std::uint32_t>> shard_members_;
   std::vector<std::uint32_t> fixup_members_;
   std::vector<char> tainted_;
   std::vector<std::uint32_t> taint_stack_;
-  std::vector<std::uint32_t> merge_cur_;
   std::vector<std::uint64_t> probes_scratch_;
   std::vector<Time> durs_scratch_;
   std::unique_ptr<AdmissionController> admission_;
   ShardLoadStats shard_stats_;
 
-  /// Per-window shard split captured by color_batch_sharded for the metrics
+  /// Per-window shard split captured by color_sharded for the metrics
   /// "shard" sample row (meaningless with shards == 1; overwritten every
   /// sharded window).
   struct WindowShardSplit {

@@ -228,6 +228,23 @@ TEST(Io, RejectsMalformedInput) {
     std::stringstream buf("dtm-graph v1\nnodes two\n");
     EXPECT_THROW(read_graph(buf), Error);  // non-numeric
   }
+  {
+    std::stringstream buf("dtm-graph v1\nnodes 2\nedge 0 4294967297 5\n");
+    EXPECT_THROW(read_graph(buf), Error);  // would narrow to node 1
+  }
+  {
+    std::stringstream buf("dtm-schedule v1\ncommits -5\n");
+    EXPECT_THROW(read_schedule(buf), Error);  // signed count
+  }
+  {
+    std::stringstream buf("dtm-schedule v1\ncommits 0\norder 99999999999999\n");
+    EXPECT_THROW(read_schedule(buf), Error);  // order id sizes nothing
+  }
+  {
+    const Grid g(3);
+    std::stringstream buf("dtm-instance v1\nobjects 999999999999999\n");
+    EXPECT_THROW(read_instance(buf, g.graph), Error);  // count sizes nothing
+  }
 }
 
 TEST(Io, ErrorsCarryLineNumbers) {

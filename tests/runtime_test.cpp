@@ -81,23 +81,31 @@ TEST(IncrementalGraph, MatchesBatchBuilderOnFullSubset) {
   const Instance inst = generate_uniform(
       g.graph, {.num_objects = 6, .objects_per_txn = 3}, rng);
 
-  IncrementalConflictGraph inc(m, inst.num_objects());
-  std::vector<TxnId> all;
-  for (TxnId t = 0; t < inst.num_transactions(); ++t) {
-    inc.add_txn(t, inst.txn(t).home, inst.txn(t).objects);
-    all.push_back(t);
+  // One pool, and three pools (object o in pool o mod 3) so the window
+  // view is a real k-way merge of per-pool slices.
+  std::vector<std::uint32_t> object_shard(inst.num_objects());
+  for (ObjectId o = 0; o < inst.num_objects(); ++o) object_shard[o] = o % 3;
+  const IncrementalConflictGraph single(m, inst.num_objects());
+  const IncrementalConflictGraph sharded(m, object_shard, 3);
+  for (IncrementalConflictGraph inc : {single, sharded}) {
+    SCOPED_TRACE(inc.num_shards());
+    std::vector<TxnId> all;
+    for (TxnId t = 0; t < inst.num_transactions(); ++t) {
+      inc.add_txn(t, inst.txn(t).home, inst.txn(t).objects);
+      all.push_back(t);
+    }
+    const DependencyGraph batch = build_dependency_graph(inst, m, all);
+    const DependencyGraph view = inc.subgraph(all);
+    ASSERT_EQ(view.txns, batch.txns);
+    ASSERT_EQ(view.offsets, batch.offsets);
+    ASSERT_EQ(view.edges.size(), batch.edges.size());
+    for (std::size_t i = 0; i < view.edges.size(); ++i) {
+      EXPECT_EQ(view.edges[i].neighbor, batch.edges[i].neighbor);
+      EXPECT_EQ(view.edges[i].weight, batch.edges[i].weight);
+    }
+    EXPECT_EQ(view.max_degree, batch.max_degree);
+    EXPECT_EQ(view.max_edge_weight, batch.max_edge_weight);
   }
-  const DependencyGraph batch = build_dependency_graph(inst, m, all);
-  const DependencyGraph view = inc.subgraph(all);
-  ASSERT_EQ(view.txns, batch.txns);
-  ASSERT_EQ(view.offsets, batch.offsets);
-  ASSERT_EQ(view.edges.size(), batch.edges.size());
-  for (std::size_t i = 0; i < view.edges.size(); ++i) {
-    EXPECT_EQ(view.edges[i].neighbor, batch.edges[i].neighbor);
-    EXPECT_EQ(view.edges[i].weight, batch.edges[i].weight);
-  }
-  EXPECT_EQ(view.max_degree, batch.max_degree);
-  EXPECT_EQ(view.max_edge_weight, batch.max_edge_weight);
 }
 
 TEST(IncrementalGraph, RetireStopsFutureConflicts) {
@@ -237,7 +245,7 @@ TEST(StreamingRuntime, BackpressureDefersAndEventuallyDrains) {
   const Grid g(5);
   const DenseMetric m(g.graph);
   StreamingRuntimeOptions opts;
-  opts.max_live_admitted = 4;
+  opts.admission.max_live = 4;
   opts.replay_check = true;
   const StreamingRuntime rt =
       run_stream(g.graph, m, ArrivalModel::kBursty, 4.0, 60, opts);
