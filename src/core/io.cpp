@@ -103,7 +103,12 @@ Graph read_graph(std::istream& is) {
            "expected header 'dtm-graph v1'");
   r.expect(r.next(&tok) && tok.size() == 2 && tok[0] == "nodes",
            "expected 'nodes N'");
-  GraphBuilder b(r.to_u64(tok[1]));
+  const std::uint64_t n = r.to_u64(tok[1]);
+  // Isolated nodes are legal, so no record count bounds N; cap it instead.
+  r.expect(n <= kMaxGraphNodes, "node count " + tok[1] + " exceeds the " +
+                                    std::to_string(kMaxGraphNodes) +
+                                    "-node limit");
+  GraphBuilder b(n);
   while (r.next(&tok)) {
     r.expect(tok.size() == 4 && tok[0] == "edge", "expected 'edge u v w'");
     b.add_edge(r.to_id<NodeId>(tok[1]), r.to_id<NodeId>(tok[2]),

@@ -16,12 +16,19 @@
 // the file holds, never by a declared count alone.
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
 
 #include "core/instance.hpp"
 #include "core/schedule.hpp"
 
 namespace dtm {
+
+/// Largest `nodes N` read_graph accepts: 2^24 (16.7M) nodes, 16× the
+/// largest graphs the experiments build (E21's 10⁶). The CSR offsets are
+/// sized by N alone — isolated nodes are legal, so no record count bounds
+/// it — and the cap turns a huge N into dtm::Error instead of bad_alloc.
+inline constexpr std::uint64_t kMaxGraphNodes = std::uint64_t{1} << 24;
 
 void write_graph(std::ostream& os, const Graph& g);
 Graph read_graph(std::istream& is);

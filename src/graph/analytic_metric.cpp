@@ -52,8 +52,84 @@ Weight AnalyticMetric::distance(NodeId u, NodeId v) const {
 void AnalyticMetric::distances(NodeId from, std::span<const NodeId> targets,
                                Weight* out) const {
   distance_queries().add(targets.size());
-  for (std::size_t i = 0; i < targets.size(); ++i) {
-    out[i] = closed_form(from, targets[i]);
+  // One loop per family: the family branch and the source's own terms
+  // (row/column, cluster, bridge offset, ray position) are resolved once
+  // per batch; node ids fit NodeId, so the inner arithmetic stays 32-bit.
+  const auto n = static_cast<NodeId>(num_nodes());
+  DTM_ASSERT(from < n);
+  const auto each = [&](auto dist) {
+    for (std::size_t i = 0; i < targets.size(); ++i) {
+      const NodeId v = targets[i];
+      DTM_ASSERT(v < n);
+      out[i] = dist(v);
+    }
+  };
+  const auto absdiff = [](NodeId x, NodeId y) {
+    return static_cast<Weight>(x > y ? x - y : y - x);
+  };
+  switch (kind_) {
+    case TopologyKind::kLine:
+      return each([&](NodeId v) { return Line::line_distance(from, v); });
+    case TopologyKind::kGrid: {
+      const auto cols = static_cast<NodeId>(a_);
+      const NodeId fr = from / cols, fc = from % cols;
+      return each([&](NodeId v) {
+        return absdiff(fr, v / cols) + absdiff(fc, v % cols);
+      });
+    }
+    case TopologyKind::kCluster: {
+      // Same cluster: 1 hop; otherwise the bridge γ plus one hop for each
+      // endpoint that is not its cluster's bridge node (index 0).
+      const auto beta = static_cast<NodeId>(a_);
+      const NodeId fc = from / beta;
+      const Weight via_bridge = w_ + (from % beta != 0 ? 1 : 0);
+      return each([&](NodeId v) -> Weight {
+        if (v == from) return 0;
+        if (v / beta == fc) return 1;
+        return via_bridge + (v % beta != 0 ? 1 : 0);
+      });
+    }
+    case TopologyKind::kStar: {
+      // Node 0 is the hub; ray r holds nodes r·β+1 … r·β+β, position 1…β.
+      const auto beta = static_cast<NodeId>(a_);
+      if (from == 0) {
+        return each([&](NodeId v) -> Weight {
+          return v == 0 ? 0 : (v - 1) % beta + 1;
+        });
+      }
+      const NodeId fray = (from - 1) / beta, fpos = (from - 1) % beta + 1;
+      return each([&](NodeId v) -> Weight {
+        if (v == 0) return fpos;
+        const NodeId vpos = (v - 1) % beta + 1;
+        return (v - 1) / beta == fray ? absdiff(fpos, vpos) : fpos + vpos;
+      });
+    }
+    case TopologyKind::kClique:
+      return each([&](NodeId v) -> Weight { return v == from ? 0 : 1; });
+    case TopologyKind::kHypercube:
+      return each(
+          [&](NodeId v) { return Hypercube::cube_distance(from, v); });
+    case TopologyKind::kBlockGrid: {
+      // Manhattan distance plus s − 1 per block boundary crossed.
+      const auto sqrt_s = static_cast<NodeId>(b_);
+      const auto cols = static_cast<NodeId>(a_ * b_);
+      const auto per_block = static_cast<Weight>(a_ - 1);
+      const NodeId fr = from / cols, fc = from % cols, fb = fc / sqrt_s;
+      return each([&](NodeId v) {
+        const NodeId vc = v % cols;
+        return absdiff(fr, v / cols) + absdiff(fc, vc) +
+               per_block * absdiff(fb, vc / sqrt_s);
+      });
+    }
+    case TopologyKind::kBlockTree: {
+      const std::size_t cols = a_ * b_;
+      return each([&](NodeId v) {
+        return BlockTree::distance_for(a_, b_, cols, from, v);
+      });
+    }
+    default:
+      DTM_REQUIRE(false, "no closed form for topology kind "
+                             << to_string(kind_));
   }
 }
 

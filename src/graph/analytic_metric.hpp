@@ -47,6 +47,9 @@ class AnalyticMetric final : public Metric {
   TopologyKind kind() const { return kind_; }
 
   Weight distance(NodeId u, NodeId v) const override;
+  /// One loop per family: the family and the source's own terms are
+  /// resolved once per batch, then each target costs a few 32-bit ops.
+  /// Every id is range-checked, as in closed_form().
   void distances(NodeId from, std::span<const NodeId> targets,
                  Weight* out) const override;
   std::vector<NodeId> path(NodeId u, NodeId v) const override;

@@ -1,8 +1,111 @@
 #include "sched/dependency_graph.hpp"
 
 #include <algorithm>
+#include <memory>
 
 namespace dtm {
+
+namespace {
+
+/// Writes the union of `a` and `b` (each strictly ascending) minus `self`
+/// at `w`, ascending; returns the end. Branch-free step: emit the smaller
+/// head, keep it unless it is `self`, advance whichever heads equal it.
+TxnId* merge_union(std::span<const TxnId> a, std::span<const TxnId> b,
+                   TxnId self, TxnId* w) {
+  const TxnId *p = a.data(), *pe = p + a.size();
+  const TxnId *q = b.data(), *qe = q + b.size();
+  while (p != pe && q != qe) {
+    const TxnId x = *p, y = *q;
+    const TxnId v = x < y ? x : y;
+    *w = v;
+    w += v != self;
+    p += x <= y;
+    q += y <= x;
+  }
+  for (; p != pe; ++p) {
+    *w = *p;
+    w += *p != self;
+  }
+  for (; q != qe; ++q) {
+    *w = *q;
+    w += *q != self;
+  }
+  return w;
+}
+
+/// Writes the union of `lists` minus `self` at `w`; returns the end. Rows
+/// of three or more lists fold through the scratch `a` and `b`; the common
+/// one- and two-list rows merge straight into `w`.
+TxnId* write_row(std::span<const std::span<const TxnId>> lists, TxnId self,
+                 TxnId* w, std::vector<TxnId>& a, std::vector<TxnId>& b) {
+  if (lists.empty()) return w;
+  std::span<const TxnId> acc = lists[0];
+  for (std::size_t j = 1; j + 1 < lists.size(); ++j) {
+    b.resize(acc.size() + lists[j].size());
+    acc = {b.data(), merge_union(acc, lists[j], self, b.data())};
+    std::swap(a, b);  // acc's buffer moves to `a`; pointers stay valid
+  }
+  return merge_union(
+      acc, lists.size() > 1 ? lists.back() : std::span<const TxnId>{}, self,
+      w);
+}
+
+/// The one H builder. `row_lists(t, lists)` replaces `lists` with the
+/// ascending local-index lists whose union is the row of transaction t.
+/// Rows are staged as bare ids in an uninitialized array sized by the sum
+/// of list sizes; `edges` is then reserved at the exact arc count (no
+/// zero-fill) and filled with one batched distance query per row.
+template <typename RowLists>
+DependencyGraph build_rows(const Instance& inst, const Metric& metric,
+                           std::vector<TxnId> txns,
+                           const RowLists& row_lists) {
+  DependencyGraph h;
+  h.txns = std::move(txns);
+  const std::size_t n = h.txns.size();
+  std::vector<std::span<const TxnId>> lists;
+
+  std::size_t bound = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    row_lists(h.txns[i], lists);
+    for (const auto& l : lists) bound += l.size();
+  }
+  const auto stage = std::make_unique_for_overwrite<TxnId[]>(bound);
+  std::vector<TxnId> a, b;
+  h.offsets.assign(n + 1, 0);
+  TxnId* end = stage.get();
+  for (std::size_t i = 0; i < n; ++i) {
+    row_lists(h.txns[i], lists);
+    end = write_row(lists, static_cast<TxnId>(i), end, a, b);
+    h.offsets[i + 1] = static_cast<std::uint32_t>(end - stage.get());
+    h.max_degree = std::max<std::size_t>(h.max_degree,
+                                         h.offsets[i + 1] - h.offsets[i]);
+  }
+
+  // Targets are the neighbors' home nodes, so a DenseMetric walks its
+  // matrix row sequentially and a LazyMetric resolves the source tree once.
+  std::vector<NodeId> homes(n);
+  for (std::size_t i = 0; i < n; ++i) homes[i] = inst.txn(h.txns[i]).home;
+  h.edges.reserve(h.offsets[n]);
+  std::vector<NodeId> targets;
+  std::vector<Weight> dist;
+  for (std::size_t i = 0; i < n; ++i) {
+    const TxnId* row = stage.get() + h.offsets[i];
+    const std::size_t deg = h.offsets[i + 1] - h.offsets[i];
+    if (deg == 0) continue;
+    targets.resize(deg);
+    dist.resize(deg);
+    for (std::size_t k = 0; k < deg; ++k) targets[k] = homes[row[k]];
+    metric.distances(homes[i], targets, dist.data());
+    for (std::size_t k = 0; k < deg; ++k) {
+      h.edges.push_back({row[k], dist[k]});
+      h.max_edge_weight = std::max(h.max_edge_weight, dist[k]);
+    }
+  }
+  telemetry::count("dep.csr_edges", h.edges.size() / 2);
+  return h;
+}
+
+}  // namespace
 
 DependencyGraph build_dependency_graph(const Instance& inst,
                                        const Metric& metric,
@@ -12,6 +115,9 @@ DependencyGraph build_dependency_graph(const Instance& inst,
   DTM_REQUIRE(std::adjacent_find(sorted.begin(), sorted.end()) ==
                   sorted.end(),
               "dependency graph: duplicate transaction in subset");
+  DTM_REQUIRE(sorted.empty() || sorted.back() < inst.num_transactions(),
+              "dependency graph: transaction T" << sorted.back()
+                                                << " out of range");
 
   // Map global TxnId -> local index (kInvalidTxn marks "not in subset").
   std::vector<TxnId> local(inst.num_transactions(), kInvalidTxn);
@@ -19,20 +125,34 @@ DependencyGraph build_dependency_graph(const Instance& inst,
     local[sorted[i]] = static_cast<TxnId>(i);
   }
 
-  // For every object, connect all pairs of its in-subset requesters.
-  return detail::assemble_dependency_csr(
-      inst, metric, std::move(sorted), [&](const auto& emit) {
-        std::vector<TxnId> members;  // reused across objects
-        for (ObjectId o = 0; o < inst.num_objects(); ++o) {
-          members.clear();
-          for (TxnId t : inst.requesters(o)) {
-            if (local[t] != kInvalidTxn) members.push_back(local[t]);
-          }
-          for (std::size_t i = 0; i < members.size(); ++i) {
-            for (std::size_t j = i + 1; j < members.size(); ++j) {
-              emit(members[i], members[j]);
-            }
-          }
+  // In-subset requesters (local indices, ascending) of every object the
+  // subset touches, packed; slot[o] is o's list, kInvalidTxn if untouched.
+  std::vector<TxnId> slot(inst.num_objects(), kInvalidTxn);
+  std::vector<ObjectId> touched;
+  for (TxnId t : sorted) {
+    for (ObjectId o : inst.txn(t).objects) {
+      if (slot[o] != kInvalidTxn) continue;
+      slot[o] = static_cast<TxnId>(touched.size());
+      touched.push_back(o);
+    }
+  }
+  std::vector<std::uint32_t> member_offsets(touched.size() + 1, 0);
+  std::vector<TxnId> members;
+  for (std::size_t s = 0; s < touched.size(); ++s) {
+    for (TxnId t : inst.requesters(touched[s])) {
+      if (local[t] != kInvalidTxn) members.push_back(local[t]);
+    }
+    member_offsets[s + 1] = static_cast<std::uint32_t>(members.size());
+  }
+
+  return build_rows(
+      inst, metric, std::move(sorted),
+      [&](TxnId t, std::vector<std::span<const TxnId>>& lists) {
+        lists.clear();
+        for (ObjectId o : inst.txn(t).objects) {
+          const TxnId s = slot[o];
+          lists.emplace_back(members.data() + member_offsets[s],
+                             members.data() + member_offsets[s + 1]);
         }
       });
 }
@@ -42,6 +162,40 @@ DependencyGraph build_dependency_graph(const Instance& inst,
   std::vector<TxnId> all(inst.num_transactions());
   for (TxnId t = 0; t < all.size(); ++t) all[t] = t;
   return build_dependency_graph(inst, metric, all);
+}
+
+DependencyGraph build_rw_dependency_graph(const Instance& inst,
+                                          const WriteSets& writes,
+                                          const Metric& metric) {
+  DTM_REQUIRE(writes.size() == inst.num_transactions(),
+              "write sets size mismatch");
+  // Writers of every object, ascending (filtered from the requester lists).
+  std::vector<std::uint32_t> writer_offsets(inst.num_objects() + 1, 0);
+  std::vector<TxnId> writers;
+  for (ObjectId o = 0; o < inst.num_objects(); ++o) {
+    for (TxnId t : inst.requesters(o)) {
+      if (is_write(writes, t, o)) writers.push_back(t);
+    }
+    writer_offsets[o + 1] = static_cast<std::uint32_t>(writers.size());
+  }
+  std::vector<TxnId> all(inst.num_transactions());
+  for (TxnId t = 0; t < all.size(); ++t) all[t] = t;
+  // Local index == global TxnId here (all transactions, ascending): t
+  // conflicts on o with every requester when it writes o, else with o's
+  // writers only.
+  return build_rows(
+      inst, metric, std::move(all),
+      [&](TxnId t, std::vector<std::span<const TxnId>>& lists) {
+        lists.clear();
+        for (ObjectId o : inst.txn(t).objects) {
+          if (is_write(writes, t, o)) {
+            lists.emplace_back(inst.requesters(o));
+          } else {
+            lists.emplace_back(writers.data() + writer_offsets[o],
+                               writers.data() + writer_offsets[o + 1]);
+          }
+        }
+      });
 }
 
 DependencyGraph merge_shard_subgraphs(std::span<const TxnId> window,

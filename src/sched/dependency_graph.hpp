@@ -2,20 +2,26 @@
 // transaction, an edge between transactions sharing at least one object,
 // edge weight = distance in G between their home nodes.
 //
-// H is stored in CSR form (offsets + flat edge array), built by a two-pass
-// count-then-fill assembler shared with the read/write-conflict variant
-// (sched/rw_greedy.cpp): pass one counts arcs per node, pass two scatters
-// targets into the flat array, then each node's range is deduplicated in
-// place and the distance weights are filled in one batched metric query
-// per node (so DenseMetric streams whole matrix rows).
+// H is stored in CSR form (offsets + flat edge array) and built one row at
+// a time. Row i is the union of sorted neighbor lists, with i removed: for
+// the object-conflict graph, the in-subset requester lists of txns[i]'s
+// objects; for the read/write variant (build_rw_dependency_graph), per
+// object either all requesters (i writes it) or only its writers (i reads
+// it). Every such list is strictly ascending — InstanceBuilder sorts each
+// transaction's objects and rejects duplicates, requesters are appended in
+// id order, and the global -> local map is monotone — so a pairwise
+// set_union-style merge yields the sorted, deduplicated row with no sort.
+// Rows are staged as bare ids, the edge array is sized exactly, and
+// distances come from one batched metric query per row (so DenseMetric
+// streams whole matrix rows and AnalyticMetric runs one closed-form loop).
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
 
 #include "core/instance.hpp"
+#include "core/rw.hpp"
 #include "graph/metric.hpp"
 #include "util/telemetry.hpp"
 
@@ -62,6 +68,7 @@ struct DependencyGraph {
 /// Builds H over `txns` (pass all transactions for the global graph).
 /// Distances come from `metric`. Runs in O(sum over objects of the squared
 /// requester count within the subset), the natural conflict-graph size.
+/// Throws dtm::Error on a duplicate or out-of-range id in `txns`.
 DependencyGraph build_dependency_graph(const Instance& inst,
                                        const Metric& metric,
                                        std::span<const TxnId> txns);
@@ -69,6 +76,14 @@ DependencyGraph build_dependency_graph(const Instance& inst,
 /// Convenience overload over all transactions.
 DependencyGraph build_dependency_graph(const Instance& inst,
                                        const Metric& metric);
+
+/// H restricted to read/write conflicts over all transactions (local index
+/// == TxnId): an edge between two requesters of an object iff at least one
+/// of them writes it (read-read pairs commute). `writes` is sized
+/// inst.num_transactions(), each entry sorted (core/rw.hpp).
+DependencyGraph build_rw_dependency_graph(const Instance& inst,
+                                          const WriteSets& writes,
+                                          const Metric& metric);
 
 /// One shard's CSR slice of a scheduling window: only the arcs owned by
 /// that shard's pool, restricted to the window, in window-local indices.
@@ -193,82 +208,5 @@ class IncrementalConflictGraph {
   std::vector<NodeId> target_scratch_;
   std::vector<Weight> dist_scratch_;
 };
-
-namespace detail {
-
-/// Two-pass CSR assembly shared by the object-conflict and read/write-
-/// conflict builders. `emit_pairs(emit)` must call emit(a, b) with local
-/// indices a != b once per conflicting pair occurrence; parallel pairs
-/// from multiple shared objects are deduplicated here. It runs twice —
-/// once to count, once to fill — so it must be deterministic.
-template <typename EmitPairs>
-DependencyGraph assemble_dependency_csr(const Instance& inst,
-                                        const Metric& metric,
-                                        std::vector<TxnId> txns,
-                                        const EmitPairs& emit_pairs) {
-  DependencyGraph h;
-  h.txns = std::move(txns);
-  const std::size_t n = h.txns.size();
-
-  // Pass 1: arc counts (parallel pairs still included), prefix-summed into
-  // provisional offsets.
-  std::vector<std::uint32_t> raw_offsets(n + 1, 0);
-  emit_pairs([&](TxnId a, TxnId b) {
-    ++raw_offsets[a + 1];
-    ++raw_offsets[b + 1];
-  });
-  for (std::size_t i = 0; i < n; ++i) raw_offsets[i + 1] += raw_offsets[i];
-
-  // Pass 2: scatter raw targets.
-  std::vector<TxnId> raw(raw_offsets[n]);
-  std::vector<std::uint32_t> cursor(raw_offsets.begin(), raw_offsets.end() - 1);
-  emit_pairs([&](TxnId a, TxnId b) {
-    raw[cursor[a]++] = b;
-    raw[cursor[b]++] = a;
-  });
-
-  // Dedup each node's range in place; the compaction cursor never
-  // overtakes the range it reads from.
-  h.offsets.assign(n + 1, 0);
-  std::size_t write = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t lo = raw_offsets[i], hi = raw_offsets[i + 1];
-    std::sort(raw.begin() + lo, raw.begin() + hi);
-    const std::size_t deg =
-        static_cast<std::size_t>(std::unique(raw.begin() + lo,
-                                             raw.begin() + hi) -
-                                 (raw.begin() + lo));
-    for (std::size_t k = 0; k < deg; ++k) raw[write + k] = raw[lo + k];
-    write += deg;
-    h.offsets[i + 1] = static_cast<std::uint32_t>(write);
-    h.max_degree = std::max(h.max_degree, deg);
-  }
-
-  // Distance fill, one batched query per node: targets are the neighbors'
-  // home nodes, so a DenseMetric walks its matrix row sequentially and a
-  // LazyMetric resolves the source tree once.
-  std::vector<NodeId> homes(n);
-  for (std::size_t i = 0; i < n; ++i) homes[i] = inst.txn(h.txns[i]).home;
-  h.edges.resize(write);
-  std::vector<NodeId> targets;
-  std::vector<Weight> dist;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t lo = h.offsets[i];
-    const std::size_t deg = h.offsets[i + 1] - lo;
-    if (deg == 0) continue;
-    targets.resize(deg);
-    dist.resize(deg);
-    for (std::size_t k = 0; k < deg; ++k) targets[k] = homes[raw[lo + k]];
-    metric.distances(homes[i], targets, dist.data());
-    for (std::size_t k = 0; k < deg; ++k) {
-      h.edges[lo + k] = {raw[lo + k], dist[k]};
-      h.max_edge_weight = std::max(h.max_edge_weight, dist[k]);
-    }
-  }
-  telemetry::count("dep.csr_edges", h.edges.size() / 2);
-  return h;
-}
-
-}  // namespace detail
 
 }  // namespace dtm

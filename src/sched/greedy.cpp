@@ -34,23 +34,38 @@ std::vector<std::size_t> coloring_sequence(const DependencyGraph& h,
   return seq;
 }
 
+/// Scratch reused across the nodes of one coloring call (never shared
+/// between calls, so concurrent shard tasks stay independent).
+struct ColorScratch {
+  ColorScratch(ColoringRule rule, std::size_t delta)
+      : used(rule == ColoringRule::kPaperPigeonhole ? delta + 1 : 0, 0) {}
+  /// Pigeonhole: slot k is taken for the node being colored iff
+  /// used[k] == mark. Each node gets a fresh mark, so the Δ+1 slots are
+  /// never cleared.
+  std::vector<std::uint32_t> used;
+  std::uint32_t mark = 0;
+  /// First-fit: the colored neighbors' forbidden intervals.
+  std::vector<std::pair<Time, Time>> forbidden;
+};
+
 /// Paper rule: pick the smallest k_u in [0, Δ] unused by colored neighbors;
 /// color = k_u·h_max + 1. `delta` is the whole graph's Δ even when only a
 /// component of it is being colored (greedy_color_members).
 Time pigeonhole_color(const DependencyGraph& h,
                       const std::vector<Time>& color, std::size_t u,
-                      Weight hmax, std::size_t delta) {
-  std::vector<char> used(delta + 1, 0);
+                      Weight hmax, std::size_t delta, ColorScratch& scratch) {
+  DTM_ASSERT(scratch.used.size() == delta + 1);
+  const std::uint32_t mark = ++scratch.mark;
   for (const DependencyEdge& e : h.neighbors(u)) {
     const Time c = color[e.neighbor];
     if (c == 0) continue;  // neighbor not colored yet
     const Time slot = (c - 1) / hmax;
     if (slot <= static_cast<Time>(delta)) {
-      used[static_cast<std::size_t>(slot)] = 1;
+      scratch.used[static_cast<std::size_t>(slot)] = mark;
     }
   }
   for (std::size_t k = 0; k <= delta; ++k) {
-    if (!used[k]) return static_cast<Time>(k) * hmax + 1;
+    if (scratch.used[k] != mark) return static_cast<Time>(k) * hmax + 1;
   }
   DTM_ASSERT_MSG(false, "pigeonhole: no free slot (degree invariant broken)");
   return 0;
@@ -59,8 +74,9 @@ Time pigeonhole_color(const DependencyGraph& h,
 /// First-fit rule: smallest t >= 1 outside every forbidden interval
 /// [t_v − w + 1, t_v + w − 1] of the colored neighbors.
 Time first_fit_color(const DependencyGraph& h, const std::vector<Time>& color,
-                     std::size_t u) {
-  std::vector<std::pair<Time, Time>> forbidden;
+                     std::size_t u, ColorScratch& scratch) {
+  auto& forbidden = scratch.forbidden;
+  forbidden.clear();
   for (const DependencyEdge& e : h.neighbors(u)) {
     const Time c = color[e.neighbor];
     if (c == 0) continue;
@@ -95,12 +111,14 @@ ColoredSubset greedy_color(const DependencyGraph& h, ColoringRule rule,
   out.local_time.assign(h.size(), 0);
   const Weight hmax = std::max<Weight>(h.max_edge_weight, 1);
   std::uint64_t probes = 0;  // neighbors examined while picking colors
+  ColorScratch scratch(rule, h.max_degree);
   for (std::size_t u : coloring_sequence(h, order, rng)) {
     probes += h.degree(u);
     const Time c =
         rule == ColoringRule::kPaperPigeonhole
-            ? pigeonhole_color(h, out.local_time, u, hmax, h.max_degree)
-            : first_fit_color(h, out.local_time, u);
+            ? pigeonhole_color(h, out.local_time, u, hmax, h.max_degree,
+                               scratch)
+            : first_fit_color(h, out.local_time, u, scratch);
     out.local_time[u] = c;
     out.duration = std::max(out.duration, c);
   }
@@ -116,11 +134,12 @@ Time greedy_color_members(const DependencyGraph& h, ColoringRule rule,
   DTM_ASSERT(color.size() == h.size());
   Time duration = 0;
   std::uint64_t local_probes = 0;
+  ColorScratch scratch(rule, delta);
   for (std::uint32_t u : members) {
     local_probes += h.degree(u);
     const Time c = rule == ColoringRule::kPaperPigeonhole
-                       ? pigeonhole_color(h, color, u, hmax, delta)
-                       : first_fit_color(h, color, u);
+                       ? pigeonhole_color(h, color, u, hmax, delta, scratch)
+                       : first_fit_color(h, color, u, scratch);
     color[u] = c;
     duration = std::max(duration, c);
   }

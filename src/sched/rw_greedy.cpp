@@ -1,7 +1,6 @@
 #include "sched/rw_greedy.hpp"
 
 #include <algorithm>
-#include <numeric>
 #include <queue>
 
 #include "util/telemetry.hpp"
@@ -9,30 +8,6 @@
 namespace dtm {
 
 namespace {
-
-/// Dependency graph restricted to read/write conflicts: an edge between
-/// two requesters of o iff at least one of them writes o.
-DependencyGraph build_rw_dependency_graph(const Instance& inst,
-                                          const WriteSets& writes,
-                                          const Metric& metric) {
-  std::vector<TxnId> all(inst.num_transactions());
-  std::iota(all.begin(), all.end(), 0);
-  // Local index == global TxnId here (all transactions, ascending).
-  return detail::assemble_dependency_csr(
-      inst, metric, std::move(all), [&](const auto& emit) {
-        for (ObjectId o = 0; o < inst.num_objects(); ++o) {
-          const auto& reqs = inst.requesters(o);
-          for (std::size_t i = 0; i < reqs.size(); ++i) {
-            for (std::size_t j = i + 1; j < reqs.size(); ++j) {
-              if (is_write(writes, reqs[i], o) ||
-                  is_write(writes, reqs[j], o)) {
-                emit(reqs[i], reqs[j]);
-              }
-            }
-          }
-        }
-      });
-}
 
 /// First-fit / pigeonhole coloring of a prebuilt dependency graph (the
 /// same rules as sched/greedy.cpp, operating on the RW graph).

@@ -5,6 +5,7 @@
 // must recover exactly the family that built the graph.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -83,19 +84,51 @@ TEST(AnalyticMetric, DistancesMatchDenseOnAllPairs) {
 }
 
 TEST(AnalyticMetric, BatchedDistancesMatchScalar) {
+  // Each family has its own batched loop, so every branch of it is pinned
+  // to the scalar closed form: on the small fixtures every source against
+  // one batch of every node (the source itself, the cluster bridges and
+  // the star hub included), ascending and descending.
+  std::size_t exhaustive = 0;
   for (const auto& f : all_fixtures()) {
     const auto n = static_cast<NodeId>(f.graph->num_nodes());
+    if (n > 64) continue;
+    ++exhaustive;
+    std::vector<NodeId> targets(n);
+    for (NodeId v = 0; v < n; ++v) targets[v] = v;
+    std::vector<Weight> out(n);
+    for (int pass = 0; pass < 2; ++pass) {
+      for (NodeId from = 0; from < n; ++from) {
+        f.analytic->distances(from, targets, out.data());
+        for (NodeId i = 0; i < n; ++i) {
+          ASSERT_EQ(out[i], f.analytic->closed_form(from, targets[i]))
+              << f.name << " d(" << from << "," << targets[i] << ")";
+        }
+      }
+      std::reverse(targets.begin(), targets.end());
+    }
+    // The range checks stay live in every family's loop.
+    const std::vector<NodeId> bad = {0, n};
+    EXPECT_THROW(f.analytic->distances(0, bad, out.data()), Error) << f.name;
+    EXPECT_THROW(f.analytic->distances(n, targets, out.data()), Error)
+        << f.name;
+  }
+  EXPECT_GE(exhaustive, 13u);
+
+  // Larger fixtures: seeded batches.
+  for (const auto& f : all_fixtures()) {
+    const auto n = static_cast<NodeId>(f.graph->num_nodes());
+    if (n <= 64) continue;
     Rng rng(7);
     std::vector<NodeId> targets;
-    for (int i = 0; i < 32; ++i) {
+    for (int i = 0; i < 64; ++i) {
       targets.push_back(static_cast<NodeId>(rng.index(n)));
     }
-    for (std::uint64_t trial = 0; trial < 4; ++trial) {
+    for (std::uint64_t trial = 0; trial < 8; ++trial) {
       const auto from = static_cast<NodeId>(rng.index(n));
       std::vector<Weight> out(targets.size());
       f.analytic->distances(from, targets, out.data());
       for (std::size_t i = 0; i < targets.size(); ++i) {
-        EXPECT_EQ(out[i], f.analytic->distance(from, targets[i])) << f.name;
+        EXPECT_EQ(out[i], f.analytic->closed_form(from, targets[i])) << f.name;
       }
     }
   }

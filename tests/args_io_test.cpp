@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "core/generators.hpp"
 #include "core/io.hpp"
@@ -244,6 +245,15 @@ TEST(Io, RejectsMalformedInput) {
     const Grid g(3);
     std::stringstream buf("dtm-instance v1\nobjects 999999999999999\n");
     EXPECT_THROW(read_instance(buf, g.graph), Error);  // count sizes nothing
+  }
+  {
+    std::stringstream buf("dtm-graph v1\nnodes 4000000000\n");
+    EXPECT_THROW(read_graph(buf), Error);  // above kMaxGraphNodes
+  }
+  {
+    std::stringstream buf("dtm-graph v1\nnodes " +
+                          std::to_string(kMaxGraphNodes + 1) + "\n");
+    EXPECT_THROW(read_graph(buf), Error);  // first count past the cap
   }
 }
 

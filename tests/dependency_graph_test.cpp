@@ -1,7 +1,8 @@
-// Equivalence tests for the two-pass CSR dependency-graph assembler: the
+// Equivalence tests for the row-union CSR dependency-graph builder: the
 // CSR form must encode exactly the conflict relation a naive set-based
 // construction produces, with distances matching the metric, on random
-// instances and on subset restrictions.
+// instances, on subset restrictions, and for the read/write-conflict
+// variant.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,6 +10,7 @@
 #include <vector>
 
 #include "core/generators.hpp"
+#include "core/rw.hpp"
 #include "graph/metric.hpp"
 #include "graph/topologies/clique.hpp"
 #include "graph/topologies/grid.hpp"
@@ -42,12 +44,33 @@ std::vector<std::set<TxnId>> naive_conflicts(const Instance& inst,
   return adj;
 }
 
-void expect_matches_naive(const Instance& inst, const Metric& metric,
-                          const DependencyGraph& h,
-                          const std::vector<TxnId>& txns) {
+/// Reference read/write conflict relation over all transactions: a pair of
+/// requesters of o conflicts iff at least one of them writes o.
+std::vector<std::set<TxnId>> naive_rw_conflicts(const Instance& inst,
+                                                const WriteSets& writes) {
+  std::vector<std::set<TxnId>> adj(inst.num_transactions());
+  for (ObjectId o = 0; o < inst.num_objects(); ++o) {
+    for (TxnId a : inst.requesters(o)) {
+      for (TxnId b : inst.requesters(o)) {
+        if (a == b) continue;
+        const auto& wa = writes[a];
+        const auto& wb = writes[b];
+        if (std::find(wa.begin(), wa.end(), o) != wa.end() ||
+            std::find(wb.begin(), wb.end(), o) != wb.end()) {
+          adj[a].insert(b);
+        }
+      }
+    }
+  }
+  return adj;
+}
+
+void expect_matches(const Instance& inst, const Metric& metric,
+                    const DependencyGraph& h, const std::vector<TxnId>& txns,
+                    const std::vector<std::set<TxnId>>& adj) {
   ASSERT_EQ(h.txns, txns);
   ASSERT_EQ(h.offsets.size(), txns.size() + 1);
-  const auto adj = naive_conflicts(inst, txns);
+  ASSERT_EQ(adj.size(), txns.size());
   std::size_t expect_max_degree = 0;
   Weight expect_max_weight = 0;
   for (std::size_t i = 0; i < txns.size(); ++i) {
@@ -68,6 +91,13 @@ void expect_matches_naive(const Instance& inst, const Metric& metric,
   }
   EXPECT_EQ(h.max_degree, expect_max_degree);
   EXPECT_EQ(h.max_edge_weight, expect_max_weight);
+  EXPECT_EQ(h.edges.size(), h.offsets.back());
+}
+
+void expect_matches_naive(const Instance& inst, const Metric& metric,
+                          const DependencyGraph& h,
+                          const std::vector<TxnId>& txns) {
+  expect_matches(inst, metric, h, txns, naive_conflicts(inst, txns));
 }
 
 TEST(DependencyGraphCsr, MatchesNaiveOnRandomInstances) {
@@ -99,6 +129,48 @@ TEST(DependencyGraphCsr, MatchesNaiveOnSubsets) {
     }
     expect_matches_naive(inst, metric,
                          build_dependency_graph(inst, metric, subset), subset);
+  }
+  // k = 3 on 5 objects: the subset cuts every requester list, and most
+  // pairs share two or three objects, so rows union three lists that
+  // overlap heavily.
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    Rng rng(seed);
+    const Instance inst = generate_uniform(
+        topo.graph, {.num_objects = 5, .objects_per_txn = 3}, rng);
+    std::vector<TxnId> subset;
+    for (TxnId t = seed % 2; t < inst.num_transactions(); t += 2) {
+      subset.push_back(t);
+    }
+    expect_matches_naive(inst, metric,
+                         build_dependency_graph(inst, metric, subset), subset);
+  }
+}
+
+TEST(DependencyGraphCsr, ReadWriteMatchesNaive) {
+  const Grid topo(5);
+  const DenseMetric metric(topo.graph);
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    Rng rng(seed);
+    const Instance inst = generate_uniform(
+        topo.graph,
+        {.num_objects = 6, .objects_per_txn = 1 + seed % 4}, rng);
+    // All-read (no edges), mixed, and all-write (the object graph).
+    for (const double wf : {0.0, 0.3, 0.6, 1.0}) {
+      const WriteSets writes = generate_write_sets(inst, wf, rng);
+      std::vector<TxnId> all(inst.num_transactions());
+      for (TxnId t = 0; t < all.size(); ++t) all[t] = t;
+      const DependencyGraph h =
+          build_rw_dependency_graph(inst, writes, metric);
+      expect_matches(inst, metric, h, all, naive_rw_conflicts(inst, writes));
+      if (wf == 1.0) {
+        const DependencyGraph full = build_dependency_graph(inst, metric);
+        EXPECT_EQ(h.offsets, full.offsets);
+        EXPECT_EQ(h.edges.size(), full.edges.size());
+      }
+      if (wf == 0.0) {
+        EXPECT_TRUE(h.edges.empty());
+      }
+    }
   }
 }
 

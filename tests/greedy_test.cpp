@@ -85,6 +85,8 @@ TEST(DependencyGraph, RejectsDuplicateSubset) {
   const DenseMetric m(c.graph);
   const std::vector<TxnId> dup = {0, 0};
   EXPECT_THROW(build_dependency_graph(inst, m, dup), Error);
+  const std::vector<TxnId> unknown = {0, 1};
+  EXPECT_THROW(build_dependency_graph(inst, m, unknown), Error);
 }
 
 // ---------------------------------------------------------- greedy_color
