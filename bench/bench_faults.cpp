@@ -410,12 +410,13 @@ void write_smoke_trace(const std::string& path, const std::string& invocation) {
   fc.loss_rate = 0.025;
   fc.seed = 1;
   const FaultModel model(fc);
-  CapacitySimOptions opts;
+  SimOptions opts;
   opts.capacity = 1;
   opts.faults = &model;
-  const CapacitySimResult r = simulate_with_capacity(inst, metric, s, opts);
+  opts.earliest_commit = true;
+  const SimResult r = simulate(inst, metric, s, opts);
   rec.set_enabled(false);
-  DTM_REQUIRE(r.ok, "traced run failed: " << r.error);
+  DTM_REQUIRE(r.ok, "traced run failed: " << r.violations.front());
 
   std::ofstream out(path);
   DTM_REQUIRE(out.good(), "cannot open --trace-out file " << path);

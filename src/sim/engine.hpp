@@ -1,15 +1,14 @@
-// The unified execution engine behind every simulator in this repo.
+// The execution engine behind simulate() (sim/simulator.hpp), the one
+// public way to run a schedule.
 //
 // The paper's §2.1 operational model — objects travel hop-by-hop along
 // shortest paths (an edge of weight d takes d steps), a node can receive
 // objects, execute its transaction, and forward objects within one step —
-// used to be implemented three times: the reliable/faulty schedule
-// simulator, the bounded-capacity re-executor, and the congestion
-// analyzer's leg walker. This engine is the single time-ordered core that
-// advances object *legs* (depart -> hops -> arrive) and transaction
-// commits over one shared timeline; everything substrate-specific (how
-// long a leg takes, whether it queues, what faults do to it) lives behind
-// the LinkPolicy interface (sim/link_policy.hpp).
+// is implemented once, here: a single time-ordered core that advances
+// object *legs* (depart -> hops -> arrive) and transaction commits over one
+// shared timeline. Everything substrate-specific (how long a leg takes,
+// whether it queues, what faults do to it) lives behind the LinkPolicy
+// interface (sim/link_policy.hpp).
 //
 // Two driving modes, selected by the policy:
 //  * analytic  — the policy resolves each leg to an absolute arrival time
@@ -29,12 +28,13 @@
 //    feasible step instead of violating; the realized-vs-planned gap is
 //    tallied (fault recovery, and planned execution under capacity);
 //  * kEarliest        — scheduled times are ignored; a transaction
-//    commits at the first step all its objects have assembled (the
-//    capacity re-executor's semantics).
+//    commits at the first step all its objects have assembled
+//    (SimOptions::earliest_commit: the visit orders re-executed alone).
 //
-// The engine also emits the artifacts the façades are built from: the
-// SimEvent log (depart/hop/arrive/commit), the per-leg trace consumed by
-// the congestion analyzer, telemetry counters, and fault/recovery tallies.
+// A run yields one SimResult: the SimEvent log (depart/hop/arrive/commit),
+// the per-leg trace, fault/recovery and queue tallies. The congestion
+// analyzer (sim/congestion.hpp) never runs the engine; it reads the plan's
+// planned_leg_trace() below.
 #pragma once
 
 #include <cstdint>
@@ -91,9 +91,9 @@ struct EngineConfig {
   /// Emit a LegRecord per launched leg (the congestion analyzer's input).
   bool record_legs = false;
 
-  /// When false the run touches no telemetry counters at all — the
-  /// capacity façade historically reported nothing, and keeping it silent
-  /// keeps recorded bench counter totals stable.
+  /// When false the run touches no telemetry counters at all (fault-free
+  /// earliest-commit runs and replays stay silent so recorded bench
+  /// counter totals do not move).
   bool telemetry = true;
 
   /// Stepwise guard: abort (with a violation) if this many steps elapse
@@ -116,24 +116,31 @@ struct EngineConfig {
   ReschedulePolicy reschedule{};
 };
 
-struct EngineResult {
+/// The outcome of one engine run (what simulate() returns).
+struct SimResult {
   bool ok = true;
   std::vector<std::string> violations;
 
-  /// Last *scheduled* commit step among executed transactions; 0 under
-  /// kEarliest for never-scheduled work (see façades for the mapping).
+  /// Last *scheduled* commit step among executed transactions (what the
+  /// scheduler promised). Only meaningful when ok, and not under
+  /// kEarliest, which ignores the plan.
   Time planned_makespan = 0;
-  /// Last commit step actually realized on the substrate.
+  /// Last commit step actually realized on the (possibly faulty or
+  /// capacity-bounded) substrate; == planned_makespan on a reliable
+  /// unbounded network.
   Time realized_makespan = 0;
 
-  /// Total realized distance traveled by all objects (detours and
-  /// slowdown surcharges count).
+  /// Total realized distance traveled by all objects (detours taken while
+  /// rerouting and slowdown surcharges count).
   Weight object_travel = 0;
 
   std::vector<SimEvent> events;
+  /// Launched legs, when EngineConfig::record_legs was set.
   std::vector<LegRecord> legs;
 
-  /// Fault/recovery tallies (all zero on reliable substrates).
+  /// Fault/recovery tallies (all zero on reliable substrates); on a
+  /// fault-free planned capacity run the degraded fields measure pure
+  /// queueing inflation.
   FaultStats faults;
 
   /// Stepwise queue accounting (zero for analytic policies).
@@ -142,6 +149,9 @@ struct EngineResult {
 
   /// Schedule splices applied by the reschedule hook (0 when disabled).
   std::size_t reschedules = 0;
+
+  explicit operator bool() const { return ok; }
+  std::string summary() const;
 };
 
 class LinkPolicy;
@@ -160,7 +170,7 @@ class Engine {
          LinkPolicy& links, const EngineConfig& opts);
   ~Engine();
 
-  EngineResult run();
+  SimResult run();
 
   // --- hooks for LinkPolicy implementations --------------------------
   const Metric& metric() const { return *metric_; }
@@ -255,7 +265,7 @@ class Engine {
   LinkPolicy* links_;
   EngineConfig opts_;
 
-  EngineResult r_;
+  SimResult r_;
 
   // Per-object hot state, struct-of-arrays: the commit/release and
   // reschedule loops each touch only a couple of these fields per object,

@@ -508,7 +508,7 @@ bool StreamingRuntime::verify_by_replay(std::string* error) const {
   eo.discipline = CommitDiscipline::kPlannedDegraded;
   eo.telemetry = false;
   BoundedCapacityLinks links(*metric_, 0);  // unbounded through the queues
-  EngineResult r = Engine(inst, *metric_, s, links, eo).run();
+  SimResult r = Engine(inst, *metric_, s, links, eo).run();
   if (!r.ok) {
     if (error) *error = r.violations.front();
     return false;

@@ -1,6 +1,9 @@
 #include "util/json_reader.hpp"
 
+#include <algorithm>
 #include <cctype>
+#include <cmath>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
@@ -49,9 +52,15 @@ void JsonReader::expect_literal(const std::string& lit) {
 }
 
 JsonValue JsonReader::parse_value() {
-  switch (peek()) {
-    case '{': return parse_object();
-    case '[': return parse_array();
+  switch (const char c = peek()) {
+    case '{':
+    case '[': {
+      DTM_REQUIRE(++depth_ <= kMaxDepth,
+                  "JSON: nesting deeper than " << kMaxDepth << " at " << pos_);
+      JsonValue v = c == '{' ? parse_object() : parse_array();
+      --depth_;
+      return v;
+    }
     case '"': {
       JsonValue v;
       v.kind = JsonValue::Kind::kString;
@@ -127,8 +136,11 @@ std::string JsonReader::parse_string() {
       case 't': out += '\t'; break;
       case 'u': {
         DTM_REQUIRE(pos_ + 4 <= text_.size(), "JSON: short \\u escape");
-        const unsigned code = static_cast<unsigned>(
-            std::stoul(text_.substr(pos_, 4), nullptr, 16));
+        const std::string hex = text_.substr(pos_, 4);
+        DTM_REQUIRE(std::all_of(hex.begin(), hex.end(),
+                                [](unsigned char h) { return std::isxdigit(h); }),
+                    "JSON: bad \\u escape at " << pos_);
+        const auto code = static_cast<unsigned>(std::stoul(hex, nullptr, 16));
         pos_ += 4;
         // Our artifacts only escape ASCII control chars; reject the rest
         // rather than mis-decoding surrogate pairs.
@@ -152,9 +164,15 @@ JsonValue JsonReader::parse_number() {
     ++pos_;
   }
   DTM_REQUIRE(pos_ > start, "JSON: expected a value at " << start);
+  // The whole token must be one finite number ("1.2.3" and "1e999" are
+  // not), and a bad one fails as dtm::Error.
+  const std::string token = text_.substr(start, pos_ - start);
+  char* end = nullptr;
   JsonValue v;
   v.kind = JsonValue::Kind::kNumber;
-  v.number = std::stod(text_.substr(start, pos_ - start));
+  v.number = std::strtod(token.c_str(), &end);
+  DTM_REQUIRE(end == token.c_str() + token.size() && std::isfinite(v.number),
+              "JSON: bad number '" << token << "' at " << start);
   return v;
 }
 

@@ -4,6 +4,7 @@
 // trace_summarize and tests can share it.
 #pragma once
 
+#include <cstddef>
 #include <map>
 #include <string>
 #include <vector>
@@ -31,8 +32,14 @@ class JsonReader {
   explicit JsonReader(const std::string& text) : text_(text) {}
 
   /// Parses the whole input as one document; throws dtm::Error on
-  /// malformed input or trailing garbage.
+  /// malformed input (including numbers that do not parse whole or are not
+  /// finite), trailing garbage, or nesting deeper than kMaxDepth.
   JsonValue parse();
+
+  /// Deepest array/object nesting accepted. The repo's artifacts nest a
+  /// few levels; the cap keeps hostile input from overflowing the stack of
+  /// this recursive-descent parser.
+  static constexpr std::size_t kMaxDepth = 64;
 
  private:
   void skip_ws();
@@ -48,6 +55,7 @@ class JsonReader {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;
 };
 
 /// Reads and parses a whole JSON file; throws dtm::Error when the file is

@@ -1,5 +1,9 @@
-// Tests for the bounded-capacity execution simulator.
+// Tests for bounded-capacity execution: simulate() with earliest_commit
+// re-executes a schedule's visit orders on FIFO links of a given capacity.
 #include <gtest/gtest.h>
+
+#include <memory>
+#include <string>
 
 #include "core/generators.hpp"
 #include "core/precedence.hpp"
@@ -8,8 +12,9 @@
 #include "graph/topologies/line.hpp"
 #include "graph/topologies/star.hpp"
 #include "sched/greedy.hpp"
-#include "sim/capacity_sim.hpp"
 #include "sim/congestion.hpp"
+#include "sim/simulator.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace dtm {
@@ -27,6 +32,14 @@ Instance star_fanout(const Star& star) {
   return b.build();
 }
 
+/// The visit orders re-executed at `capacity` (0 = unbounded), committing
+/// each transaction as soon as its objects assemble.
+SimResult replay(const Instance& inst, const Metric& m, const Schedule& s,
+                 std::size_t capacity) {
+  return simulate(inst, m, s,
+                  {.capacity = capacity, .earliest_commit = true});
+}
+
 TEST(CapacitySim, UnboundedMatchesEarliestTimes) {
   // With capacity 0 (unbounded), the realized makespan equals the
   // precedence solver's earliest-commit makespan for the same orders.
@@ -41,10 +54,9 @@ TEST(CapacitySim, UnboundedMatchesEarliestTimes) {
     GreedyScheduler sched(o);
     const Schedule s = sched.run(inst, m);
     const Schedule earliest = compact(inst, m, s);
-    const CapacitySimResult r =
-        simulate_with_capacity(inst, m, s, capacity_options(0));
-    ASSERT_TRUE(r.ok) << r.error;
-    EXPECT_EQ(r.makespan, earliest.makespan());
+    const SimResult r = replay(inst, m, s, 0);
+    ASSERT_TRUE(r.ok) << r.summary();
+    EXPECT_EQ(r.realized_makespan, earliest.makespan());
     EXPECT_EQ(r.total_queue_wait, 0);
   }
 }
@@ -55,16 +67,14 @@ TEST(CapacitySim, CapacityOneSerializesSharedEdges) {
   const DenseMetric m(star.graph);
   const Schedule s = Schedule::from_commit_times(inst, {4, 4, 4});
   // Unbounded: all three objects travel in parallel, distance 4 each.
-  const CapacitySimResult unbounded =
-      simulate_with_capacity(inst, m, s, capacity_options(0));
+  const SimResult unbounded = replay(inst, m, s, 0);
   ASSERT_TRUE(unbounded.ok);
-  EXPECT_EQ(unbounded.makespan, 4);
+  EXPECT_EQ(unbounded.realized_makespan, 4);
   // Capacity 1: the shared first edge admits one object per traversal, so
   // the last object finishes 2 steps later.
-  const CapacitySimResult tight =
-      simulate_with_capacity(inst, m, s, capacity_options(1));
+  const SimResult tight = replay(inst, m, s, 1);
   ASSERT_TRUE(tight.ok);
-  EXPECT_EQ(tight.makespan, 6);
+  EXPECT_EQ(tight.realized_makespan, 6);
   EXPECT_GT(tight.total_queue_wait, 0);
   EXPECT_EQ(tight.max_queue_length, 2u);
 }
@@ -79,11 +89,10 @@ TEST(CapacitySim, MakespanMonotoneInCapacity) {
   const Schedule s = sched.run(inst, m);
   Time prev = kInfiniteWeight;
   for (std::size_t cap : {1u, 2u, 4u, 0u}) {  // 0 = unbounded, last
-    const CapacitySimResult r =
-        simulate_with_capacity(inst, m, s, capacity_options(cap));
+    const SimResult r = replay(inst, m, s, cap);
     ASSERT_TRUE(r.ok) << "capacity " << cap;
-    EXPECT_LE(r.makespan, prev) << "capacity " << cap;
-    prev = r.makespan;
+    EXPECT_LE(r.realized_makespan, prev) << "capacity " << cap;
+    prev = r.realized_makespan;
   }
 }
 
@@ -117,20 +126,19 @@ TEST(CapacitySim, MakespanMonotoneAcrossTopologiesAndSeeds) {
       for (const std::size_t cap : {std::size_t{0}, std::size_t{8},
                                     std::size_t{4}, std::size_t{2},
                                     std::size_t{1}}) {
-        const CapacitySimResult r =
-            simulate_with_capacity(inst, m, s, capacity_options(cap));
+        const SimResult r = replay(inst, m, s, cap);
         ASSERT_TRUE(r.ok)
             << topo.name << " seed " << seed << " capacity " << cap;
         if (cap == 0) {
-          unbounded = r.makespan;
+          unbounded = r.realized_makespan;
           EXPECT_EQ(r.total_queue_wait, 0) << topo.name << " seed " << seed;
         } else {
-          EXPECT_GE(r.makespan, prev)
+          EXPECT_GE(r.realized_makespan, prev)
               << topo.name << " seed " << seed << " capacity " << cap;
-          EXPECT_GE(r.makespan, unbounded)
+          EXPECT_GE(r.realized_makespan, unbounded)
               << topo.name << " seed " << seed << " capacity " << cap;
         }
-        prev = r.makespan;
+        prev = r.realized_makespan;
       }
     }
   }
@@ -150,42 +158,60 @@ TEST(CapacitySim, StretchBoundedByPeakCongestion) {
   GreedyScheduler sched(o);
   const Schedule s = sched.run(inst, m);
   const CongestionReport cong = analyze_congestion(inst, m, s);
-  const CapacitySimResult unbounded =
-      simulate_with_capacity(inst, m, s, capacity_options(0));
-  const CapacitySimResult tight =
-      simulate_with_capacity(inst, m, s, capacity_options(1));
+  const SimResult unbounded = replay(inst, m, s, 0);
+  const SimResult tight = replay(inst, m, s, 1);
   ASSERT_TRUE(unbounded.ok);
   ASSERT_TRUE(tight.ok);
-  EXPECT_LE(tight.makespan,
-            unbounded.makespan *
+  EXPECT_LE(tight.realized_makespan,
+            unbounded.realized_makespan *
                 static_cast<Time>(cong.peak_load + 1));
 }
 
-TEST(CapacitySim, RejectsCorruptOrders) {
-  const Line line(4);
+/// Line 0-1-2-3 with one object wanted at both ends.
+Instance two_ends(const Line& line) {
   InstanceBuilder b(line.graph, 1);
   b.add_transaction(0, {0});
   b.add_transaction(3, {0});
-  const Instance inst = b.build();
+  return b.build();
+}
+
+/// A reschedule hook that always keeps the current schedule.
+RescheduleFn declining_hook() {
+  return [](const PartialExecution&) { return std::unique_ptr<Schedule>(); };
+}
+
+// A bad visit order is rejected on both stepwise modes (earliest commits,
+// and the planned schedule under a reschedule hook), and reported through
+// SimResult rather than thrown.
+TEST(CapacitySim, RejectsCorruptOrders) {
+  const Line line(4);
+  const Instance inst = two_ends(line);
   const DenseMetric m(line.graph);
   Schedule s = Schedule::from_commit_times(inst, {1, 4});
   s.object_order[0] = {0};  // dropped a requester
-  EXPECT_THROW(simulate_with_capacity(inst, m, s), Error);
+  const SimOptions earliest{.capacity = 1, .earliest_commit = true};
+  const SimOptions planned{.reschedule = declining_hook()};
+  for (const SimOptions* opts : {&earliest, &planned}) {
+    const SimResult r = simulate(inst, m, s, *opts);
+    EXPECT_FALSE(r.ok);
+    ASSERT_EQ(r.violations.size(), 1u);
+    EXPECT_NE(r.violations.front().find("object_order[0] is not a permutation"),
+              std::string::npos)
+        << r.violations.front();
+  }
 }
 
-TEST(CapacitySim, MaxStepsGuard) {
-  const Line line(8);
-  InstanceBuilder b(line.graph, 1);
-  b.add_transaction(0, {0});
-  b.add_transaction(7, {0});
-  b.set_object_home(0, 0);
-  const Instance inst = b.build();
+// earliest_commit discards the plan, so a reschedule hook has nothing to
+// splice into; the combination is a caller error.
+TEST(CapacitySim, EarliestCommitRejectsRescheduleHook) {
+  const Line line(4);
+  const Instance inst = two_ends(line);
   const DenseMetric m(line.graph);
-  const Schedule s = Schedule::from_commit_times(inst, {1, 8});
-  const CapacitySimResult r =
-      simulate_with_capacity(inst, m, s, capacity_options(1, 3));
-  EXPECT_FALSE(r.ok);
-  EXPECT_NE(r.error.find("max_steps"), std::string::npos);
+  const Schedule s = Schedule::from_commit_times(inst, {1, 4});
+  const SimOptions opts{.capacity = 1,
+                        .earliest_commit = true,
+                        .reschedule = declining_hook()};
+  EXPECT_THROW(simulate(inst, m, s, opts), Error);
 }
 
 TEST(CapacitySim, EmptyInstance) {
@@ -195,9 +221,9 @@ TEST(CapacitySim, EmptyInstance) {
   const DenseMetric m(line.graph);
   Schedule s;
   s.object_order.resize(1);
-  const CapacitySimResult r = simulate_with_capacity(inst, m, s);
+  const SimResult r = replay(inst, m, s, 1);
   EXPECT_TRUE(r.ok);
-  EXPECT_EQ(r.makespan, 0);
+  EXPECT_EQ(r.realized_makespan, 0);
 }
 
 TEST(CapacitySim, ObjectlessTransactionsCommitAtOne) {
@@ -209,9 +235,9 @@ TEST(CapacitySim, ObjectlessTransactionsCommitAtOne) {
   Schedule s;
   s.commit_time = {1};
   s.object_order.resize(1);
-  const CapacitySimResult r = simulate_with_capacity(inst, m, s);
+  const SimResult r = replay(inst, m, s, 1);
   ASSERT_TRUE(r.ok);
-  EXPECT_EQ(r.makespan, 1);
+  EXPECT_EQ(r.realized_makespan, 1);
 }
 
 }  // namespace

@@ -10,10 +10,12 @@
 #include <fstream>
 #include <set>
 #include <sstream>
+#include <string>
 #include <thread>
 
 #include "util/csv.hpp"
 #include "util/error.hpp"
+#include "util/json_reader.hpp"
 #include "util/parallel_for.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -441,6 +443,55 @@ TEST(ParallelFor, PropagatesBodyException) {
                               if (i == 5) throw Error("body failed");
                             }),
                Error);
+}
+
+// ------------------------------------------------------------- JsonReader
+
+TEST(JsonReader, ParsesWellFormedDocument) {
+  const JsonValue v =
+      JsonReader(R"({"a": [1, -2.5e3, true, null], "s": "x\u0041\n"})")
+          .parse();
+  ASSERT_EQ(v.kind, JsonValue::Kind::kObject);
+  const JsonValue* a = v.find("a");
+  ASSERT_NE(a, nullptr);
+  ASSERT_EQ(a->arr.size(), 4u);
+  EXPECT_EQ(a->arr[0].number, 1.0);
+  EXPECT_EQ(a->arr[1].number, -2500.0);
+  EXPECT_TRUE(a->arr[2].boolean);
+  EXPECT_EQ(a->arr[3].kind, JsonValue::Kind::kNull);
+  EXPECT_EQ(v.find("s")->str, "xA\n");
+}
+
+// Every malformed input fails as dtm::Error: no std::invalid_argument or
+// std::out_of_range escapes, no silent partial read, no stack overflow.
+TEST(JsonReader, BadInputThrowsError) {
+  const std::string bad[] = {
+      "-",                      // sign alone
+      "e",                      // exponent alone
+      "[1,-]",                  // sign alone inside an array
+      "1e999",                  // overflows a double
+      "1.2.3",                  // only a prefix is a number
+      "\"\\uZZZZ\"",            // non-hex \u digits
+      "\"\\u00\"",              // short \u escape
+      "\"\\u00e9\"",            // non-ASCII \u escape
+      "",                       // empty document
+      "[1, 2",                  // unterminated array
+      "{\"a\" 1}",              // missing colon
+      "[1] x",                  // trailing garbage
+      std::string(100000, '['),  // nesting far past kMaxDepth
+  };
+  for (const std::string& text : bad) {
+    EXPECT_THROW(JsonReader(text).parse(), Error) << text.substr(0, 16);
+  }
+}
+
+TEST(JsonReader, NestingCapIsExact) {
+  const std::size_t cap = JsonReader::kMaxDepth;
+  const auto nested = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  EXPECT_NO_THROW(JsonReader(nested(cap)).parse());
+  EXPECT_THROW(JsonReader(nested(cap + 1)).parse(), Error);
 }
 
 }  // namespace
