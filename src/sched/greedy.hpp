@@ -47,8 +47,8 @@ ColoredSubset greedy_color(const Instance& inst, const Metric& metric,
                            Rng* rng = nullptr);
 
 /// Colors an already-built dependency graph (the streaming runtime hands in
-/// window subgraphs extracted from its incrementally-maintained graph, so
-/// no per-window rebuild happens). Same rules and result as above.
+/// each window's H, with its weights clamped). Same rules and result as
+/// above.
 ColoredSubset greedy_color(const DependencyGraph& h, ColoringRule rule,
                            ColoringOrder order = ColoringOrder::kById,
                            Rng* rng = nullptr);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <numeric>
-#include <optional>
 #include <utility>
 
 #include "sim/engine.hpp"
@@ -17,29 +16,14 @@ namespace dtm {
 
 namespace {
 
-IncrementalConflictGraph make_dep(const Metric& metric, const ShardMap& map,
-                                  const std::vector<NodeId>& object_home) {
-  if (map.num_shards <= 1) {
-    return IncrementalConflictGraph(metric, object_home.size());
-  }
-  std::vector<std::uint32_t> object_shard(object_home.size());
-  for (std::size_t o = 0; o < object_home.size(); ++o) {
-    DTM_REQUIRE(object_home[o] < map.node_shard.size(),
-                "object home out of range");
-    object_shard[o] = map.shard_of(object_home[o]);
-  }
-  return IncrementalConflictGraph(metric, std::move(object_shard),
-                                  map.num_shards);
-}
-
 // Runs fn(s) for every shard s. One shard runs inline on the calling
 // thread, untimed and untraced, so a 1-shard stream touches no pool and
 // records exactly a sequential loop's telemetry. More shards fan out over
 // the shared pool; each task feeds the shard-task timer and — when tracing
-// — a kShard wall span on the executing worker's track, so the fan-out is
-// visible as per-shard tracks in the trace viewer.
+// — a kShard "color" wall span on the executing worker's track, so the
+// fan-out is visible as per-shard tracks in the trace viewer.
 template <typename Fn>
-void for_each_shard(std::size_t num_shards, const char* what, const Fn& fn) {
+void for_each_shard(std::size_t num_shards, const Fn& fn) {
   if (num_shards == 1) {
     fn(std::size_t{0});
     return;
@@ -54,8 +38,7 @@ void for_each_shard(std::size_t num_shards, const char* what, const Fn& fn) {
     if (!timed && !traced) return;
     const auto end = std::chrono::steady_clock::now();
     if (traced) {
-      tracer.wall_span(TraceCat::kShard,
-                       std::string(what) + " s" + std::to_string(s), begin,
+      tracer.wall_span(TraceCat::kShard, "color s" + std::to_string(s), begin,
                        end);
     }
     if (timed) {
@@ -79,7 +62,6 @@ StreamingRuntime::StreamingRuntime(const Graph& g, const Metric& metric,
       object_home_(std::move(object_home)),
       placer_(metric, object_home_),
       shard_map_(make_shard_map(g, std::max<std::size_t>(opts.shards, 1))),
-      dep_(make_dep(metric, shard_map_, object_home_)),
       next_close_(opts.window) {
   DTM_REQUIRE(opts_.window >= 1, "stream window must be >= 1 step");
   for (NodeId v : object_home_) {
@@ -127,7 +109,6 @@ TxnId StreamingRuntime::ingest(const ArrivingTxn& txn) {
   const std::vector<ObjectId>& objs = txns_.back().objects;
   arrival_.push_back(txn.arrival);
   commit_.push_back(0);
-  dep_.add_txn(id, txn.home, objs);
   if (opts_.shards > 1) {
     // Owning shard, or the cross-shard sentinel (== num_shards) when the
     // transaction's objects span shards; objectless txns are conflict-free
@@ -186,10 +167,8 @@ void StreamingRuntime::close_windows_through(Time up_to) {
 
 std::size_t StreamingRuntime::retire_through(Time step) {
   std::size_t retired = 0;
-  while (!pending_commits_.empty() && pending_commits_.top().first <= step) {
-    const TxnId t = pending_commits_.top().second;
+  while (!pending_commits_.empty() && pending_commits_.top() <= step) {
     pending_commits_.pop();
-    dep_.retire(t, txns_[t].objects);
     DTM_ASSERT(live_admitted_ > 0);
     --live_admitted_;
     ++stats_.committed;
@@ -265,13 +244,13 @@ void StreamingRuntime::schedule_window(Time close,
   }
   std::sort(batch.begin(), batch.end());  // backlog ids precede fresh ids
 
-  // Delta coloring: the batch's window view of the incremental conflict
-  // graph, colored by the §2.3 greedy and placed after the live horizon by
-  // the placement OnlineBatchScheduler shares (sched/window_placement.hpp).
+  // The batch's conflict graph, colored by the §2.3 greedy and placed
+  // after the live horizon by the placement OnlineBatchScheduler shares
+  // (sched/window_placement.hpp).
   const ColoredSubset colored = color_batch(batch);
   const Time start = placer_.place(colored, close, txns_, commit_);
   for (const TxnId t : colored.txns) {
-    pending_commits_.emplace(commit_[t], t);
+    pending_commits_.push(commit_[t]);
     stats_.makespan = std::max(stats_.makespan, commit_[t]);
   }
   if (metrics_on) {
@@ -325,27 +304,20 @@ ColoredSubset StreamingRuntime::color_batch(const std::vector<TxnId>& batch) {
 }
 
 DependencyGraph StreamingRuntime::window_view(
-    const std::vector<TxnId>& batch) {
-  // Window-local index table, dense over all ingested ids (entries are
-  // restored to kInvalidTxn before returning, so only touched slots pay).
-  if (local_tbl_.size() < dep_.num_txns()) {
-    local_tbl_.resize(dep_.num_txns(), kInvalidTxn);
+    const std::vector<TxnId>& batch) const {
+  // Members of one admitted batch are all uncommitted, so H over the batch
+  // is exactly the conflict graph the window colors.
+  DependencyGraph h =
+      build_dependency_graph(txns_, object_home_.size(), *metric_, batch);
+  // Streams revisit homes, so two conflicting transactions can share a node
+  // (distance 0). The single-copy object still serves one commit per step —
+  // exactly what the stepwise engine enforces — so conflict edges are at
+  // least 1 here. Batch instances keep one transaction per node, so their
+  // H never holds a zero and is not clamped.
+  for (DependencyEdge& e : h.edges) e.weight = std::max<Weight>(e.weight, 1);
+  if (!h.edges.empty()) {
+    h.max_edge_weight = std::max<Weight>(h.max_edge_weight, 1);
   }
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    local_tbl_[batch[i]] = static_cast<TxnId>(i);
-  }
-  // Per-shard slices, extracted concurrently with shards > 1 (each task
-  // reads only its own pool's chains), then merged in order.
-  views_.resize(opts_.shards);
-  {
-    std::optional<ScopedPhaseTimer> timer;
-    if (opts_.shards > 1) timer.emplace("phase.stream.shard_extract");
-    for_each_shard(opts_.shards, "extract", [&](std::size_t s) {
-      dep_.shard_subgraph(s, batch, local_tbl_, views_[s]);
-    });
-  }
-  DependencyGraph h = merge_shard_subgraphs(batch, views_);
-  for (TxnId t : batch) local_tbl_[t] = kInvalidTxn;
   return h;
 }
 
@@ -404,7 +376,7 @@ ColoredSubset StreamingRuntime::color_sharded(const DependencyGraph& h) {
     ScopedPhaseTimer timer("phase.coloring");
     probes_scratch_.assign(S, 0);
     durs_scratch_.assign(S, 0);
-    for_each_shard(S, "color", [&](std::size_t s) {
+    for_each_shard(S, [&](std::size_t s) {
       durs_scratch_[s] = greedy_color_members(h, opts_.rule, hmax,
                                               h.max_degree, shard_members_[s],
                                               out.local_time,
@@ -454,9 +426,6 @@ const StreamStats& StreamingRuntime::drain() {
   stats_.throughput =
       static_cast<double>(stats_.committed) /
       static_cast<double>(std::max<Time>(stats_.makespan, 1));
-  stats_.dep_edges = dep_.num_edges();
-  stats_.dep_max_weight = dep_.max_edge_weight();
-  telemetry::count("stream.arc_pool_bytes", dep_.arc_pool_bytes());
   if (MetricsRegistry::global().enabled()) {
     // End-of-stream gauges: stream_report --validate reconciles the latency
     // histogram counts against stream.admitted.

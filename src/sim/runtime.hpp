@@ -9,32 +9,31 @@
 // loop:
 //
 //   * ingest — transactions stream in from an ArrivalSource
-//     (core/generators.hpp) in non-decreasing arrival order; each is
-//     registered with the incrementally-maintained conflict graph
-//     (IncrementalConflictGraph: delta edge insertion against the live —
-//     uncommitted — requester sets, never a rebuild);
+//     (core/generators.hpp) in non-decreasing arrival order and join the
+//     open window's batch;
 //   * admit — at each window close, deferred work plus the window's
 //     arrivals are admitted up to the AdmissionController's quota
 //     (sim/admission.hpp: a fixed bound, or AIMD closed-loop control fed
 //     by backlog/commit feedback); the excess stays in a FIFO backlog and
 //     is counted, so overload sheds latency instead of memory;
-//   * schedule — the admitted batch's window view (its CSR, built one way
-//     at every shard count: one slice per arc pool, extracted on the
-//     thread pool with shards > 1 and inline at 1, then k-way merged) is
-//     colored by the §2.3 greedy and placed after the live horizon by
-//     WindowPlacer (sched/window_placement.hpp), the placement
-//     OnlineBatchScheduler shares. With shards > 1 (DESIGN.md §10) the
-//     conflict graph keeps one arc pool per shard of a locality partition
-//     of the substrate (graph/partition.hpp — an object belongs to its
-//     home node's shard); conflict components confined to one shard are
+//   * schedule — the admitted batch's conflict graph H (built from the
+//     batch's own members by build_dependency_graph, the builder the batch
+//     schedulers use, at every shard count; its members are all
+//     uncommitted, so this is the full conflict graph restricted to the
+//     window) is colored by the §2.3 greedy and placed after the live
+//     horizon by WindowPlacer (sched/window_placement.hpp), the placement
+//     OnlineBatchScheduler shares. With shards > 1 (DESIGN.md §10)
+//     transactions are assigned to shards of a locality partition of the
+//     substrate (graph/partition.hpp — an object belongs to its home
+//     node's shard); conflict components confined to one shard are
 //     colored in parallel, and components spanning shards — found by a
 //     taint walk from cross-shard transactions — by a sequential fix-up
 //     pass. A greedy color depends only on already-colored same-component
 //     neighbors plus window-global h_max/Δ, so the sharded schedule is
 //     bit-identical to the shards=1 schedule;
 //   * commit — commit steps are tracked against the stream clock; when the
-//     clock passes a transaction's commit step it retires from the live
-//     conflict sets. drain() can additionally replay the materialized
+//     clock passes a transaction's commit step it retires, freeing its
+//     admission slot. drain() can additionally replay the materialized
 //     stream through the execution engine's stepwise path
 //     (sim/engine.hpp, queued links, planned-degraded discipline) and
 //     assert that every planned commit is realized on time.
@@ -101,9 +100,6 @@ struct StreamStats {
   double mean_backlog = 0;
   /// committed / makespan: sustained commit rate per step.
   double throughput = 0;
-  /// Incremental conflict-graph footprint.
-  std::size_t dep_edges = 0;
-  Weight dep_max_weight = 0;
 };
 
 /// Shard-partition load measurements (only meaningful with shards > 1;
@@ -181,9 +177,9 @@ class StreamingRuntime {
   /// greedy, shards>1 the component-parallel coloring. Both emit identical
   /// greedy.* telemetry and identical colors.
   ColoredSubset color_batch(const std::vector<TxnId>& batch);
-  /// The batch's window CSR at every shard count: per-shard slices
-  /// (extracted on the thread pool with shards > 1), k-way merged.
-  DependencyGraph window_view(const std::vector<TxnId>& batch);
+  /// The batch's conflict graph H at every shard count, edge weights
+  /// clamped to >= 1.
+  DependencyGraph window_view(const std::vector<TxnId>& batch) const;
   ColoredSubset color_sharded(const DependencyGraph& h);
   /// Commits the clock passed; returns how many transactions retired.
   std::size_t retire_through(Time step);
@@ -203,14 +199,11 @@ class StreamingRuntime {
 
   // Shard partition (only populated with opts.shards > 1).
   ShardMap shard_map_;
-  IncrementalConflictGraph dep_;
   /// Per txn: owning shard, or num_shards as the cross-shard sentinel
   /// (only maintained with opts.shards > 1).
   std::vector<std::uint32_t> txn_shard_;
 
-  // Reused window scratch (allocation-free steady state).
-  std::vector<TxnId> local_tbl_;        // global id -> window-local index
-  std::vector<ShardSubgraph> views_;    // per-shard window slices
+  // Reused coloring scratch.
   std::vector<std::vector<std::uint32_t>> shard_members_;
   std::vector<std::uint32_t> fixup_members_;
   std::vector<char> tainted_;
@@ -236,10 +229,8 @@ class StreamingRuntime {
   Time next_close_;                // close step of the next unclosed window
   std::deque<TxnId> backlog_;      // deferred by admission, FIFO
 
-  // Commit calendar: (commit step, txn), min-first; retire_through pops it.
-  std::priority_queue<std::pair<Time, TxnId>,
-                      std::vector<std::pair<Time, TxnId>>,
-                      std::greater<std::pair<Time, TxnId>>>
+  // Commit calendar: planned commit steps, min-first; retire_through pops it.
+  std::priority_queue<Time, std::vector<Time>, std::greater<Time>>
       pending_commits_;
   std::size_t live_admitted_ = 0;  // admitted, commit not yet retired
 

@@ -11,6 +11,64 @@
 
 namespace dtm {
 
+const char* JsonValue::kind_name(Kind k) {
+  switch (k) {
+    case Kind::kNull: return "null";
+    case Kind::kBool: return "bool";
+    case Kind::kNumber: return "number";
+    case Kind::kString: return "string";
+    case Kind::kArray: return "array";
+    case Kind::kObject: return "object";
+  }
+  return "?";
+}
+
+namespace {
+
+void require_kind(const JsonValue& v, JsonValue::Kind want) {
+  DTM_REQUIRE(v.kind == want, "JSON: expected " << JsonValue::kind_name(want)
+                                                << ", got "
+                                                << JsonValue::kind_name(v.kind));
+}
+
+}  // namespace
+
+double JsonValue::as_number() const {
+  require_kind(*this, Kind::kNumber);
+  return number;
+}
+
+const std::string& JsonValue::as_string() const {
+  require_kind(*this, Kind::kString);
+  return str;
+}
+
+const std::vector<JsonValue>& JsonValue::as_array() const {
+  require_kind(*this, Kind::kArray);
+  return arr;
+}
+
+const std::map<std::string, JsonValue>& JsonValue::as_object() const {
+  require_kind(*this, Kind::kObject);
+  return obj;
+}
+
+std::uint64_t JsonValue::as_uint() const {
+  const double x = as_number();
+  // 2^64 is exact in a double; every whole double below it converts.
+  DTM_REQUIRE(x >= 0 && x < 18446744073709551616.0 && std::floor(x) == x,
+              "JSON: expected a non-negative whole number, got " << x);
+  return static_cast<std::uint64_t>(x);
+}
+
+std::int64_t JsonValue::as_int() const {
+  const double x = as_number();
+  DTM_REQUIRE(x >= -9223372036854775808.0 && x < 9223372036854775808.0 &&
+                  std::floor(x) == x,
+              "JSON: expected a whole number in int64 range, got " << x);
+  return static_cast<std::int64_t>(x);
+}
+
 JsonValue JsonReader::parse() {
   JsonValue v = parse_value();
   skip_ws();

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -25,6 +26,21 @@ struct JsonValue {
     const auto it = obj.find(key);
     return it == obj.end() ? nullptr : &it->second;
   }
+
+  /// Typed reads: the value as that kind, or dtm::Error naming the kind
+  /// expected and the kind found — a wrong-kind value never reads as 0 or
+  /// empty.
+  double as_number() const;
+  const std::string& as_string() const;
+  const std::vector<JsonValue>& as_array() const;
+  const std::map<std::string, JsonValue>& as_object() const;
+  /// A whole number in [0, 2^64) (counts, indices); dtm::Error otherwise,
+  /// checked before any conversion, so no out-of-range cast can happen.
+  std::uint64_t as_uint() const;
+  /// A whole number in [-2^63, 2^63).
+  std::int64_t as_int() const;
+
+  static const char* kind_name(Kind k);
 };
 
 class JsonReader {

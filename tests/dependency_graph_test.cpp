@@ -1,8 +1,8 @@
 // Equivalence tests for the row-union CSR dependency-graph builder: the
 // CSR form must encode exactly the conflict relation a naive set-based
 // construction produces, with distances matching the metric, on random
-// instances, on subset restrictions, and for the read/write-conflict
-// variant.
+// instances, on subset restrictions, on the scheduling windows of a
+// stream, and for the read/write-conflict variant.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,6 +15,7 @@
 #include "graph/topologies/clique.hpp"
 #include "graph/topologies/grid.hpp"
 #include "sched/dependency_graph.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace dtm {
@@ -144,6 +145,74 @@ TEST(DependencyGraphCsr, MatchesNaiveOnSubsets) {
     expect_matches_naive(inst, metric,
                          build_dependency_graph(inst, metric, subset), subset);
   }
+}
+
+TEST(DependencyGraphCsr, TransactionSpanMatchesNaiveOnStreamWindows) {
+  // A materialized stream, as the streaming runtime holds it: ids ==
+  // indices, homes revisited (120 arrivals on 16 nodes), so conflicting
+  // pairs at distance 0 occur. Each window's H over the transaction span
+  // must match the naive relation restricted to that window.
+  const Grid topo(4);
+  const DenseMetric metric(topo.graph);
+  for (const ArrivalModel model :
+       {ArrivalModel::kPoisson, ArrivalModel::kBursty,
+        ArrivalModel::kHotObject}) {
+    ArrivalStreamOptions opt;
+    opt.num_txns = 120;
+    opt.num_objects = 6;
+    opt.objects_per_txn = 2;
+    opt.rate = 2.0;
+    auto src = make_arrival_source(model, topo.graph, opt, 3);
+    InstanceBuilder b(topo.graph, opt.num_objects);
+    b.allow_shared_homes();
+    std::vector<Time> arrival;
+    ArrivingTxn t;
+    while (src->next(t)) {
+      b.add_transaction(t.home, t.objects);
+      arrival.push_back(t.arrival);
+    }
+    const Instance inst = b.build();
+    ASSERT_EQ(inst.num_transactions(), opt.num_txns);
+
+    constexpr Time kWindow = 8;
+    std::size_t windows = 0, zero_weight_arcs = 0;
+    for (std::size_t lo = 0; lo < arrival.size();) {
+      std::vector<TxnId> window;
+      const Time w = arrival[lo] / kWindow;
+      for (; lo < arrival.size() && arrival[lo] / kWindow == w; ++lo) {
+        window.push_back(static_cast<TxnId>(lo));
+      }
+      const DependencyGraph h = build_dependency_graph(
+          inst.transactions(), inst.num_objects(), metric, window);
+      expect_matches_naive(inst, metric, h, window);
+      for (const DependencyEdge& e : h.edges) zero_weight_arcs += e.weight == 0;
+      ++windows;
+    }
+    EXPECT_GT(windows, 3u);
+    if (model == ArrivalModel::kHotObject) {
+      // Every hot-object transaction shares object 0; with 16 homes and
+      // ~16 transactions per window some pair shares a home.
+      EXPECT_GT(zero_weight_arcs, 0u);
+    }
+  }
+}
+
+TEST(DependencyGraphCsr, TransactionSpanRejectsBadInput) {
+  const Clique topo(4);
+  const DenseMetric metric(topo.graph);
+  const std::vector<Transaction> txns = {{0, 0, {0, 1}}, {1, 1, {1, 2}}};
+  const std::vector<TxnId> both = {0, 1};
+  EXPECT_EQ(build_dependency_graph(txns, 3, metric, both).edges.size(), 2u);
+  // Object 2 is outside a 2-object universe.
+  EXPECT_THROW(build_dependency_graph(txns, 2, metric, both), Error);
+  const std::vector<TxnId> dup = {1, 1};
+  EXPECT_THROW(build_dependency_graph(txns, 3, metric, dup), Error);
+  const std::vector<TxnId> unknown = {0, 2};
+  EXPECT_THROW(build_dependency_graph(txns, 3, metric, unknown), Error);
+  // A repeated object would list its requester twice and emit a
+  // duplicate arc.
+  const std::vector<Transaction> repeated = {{0, 0, {1, 1}}, {1, 1, {1}}};
+  EXPECT_THROW(build_dependency_graph(repeated, 3, metric, both), Error);
 }
 
 TEST(DependencyGraphCsr, ReadWriteMatchesNaive) {

@@ -1,5 +1,5 @@
-// Streaming runtime: arrival sources, incremental conflict graph,
-// window scheduling, backpressure, and the engine replay check.
+// Streaming runtime: arrival sources, window scheduling, backpressure, and
+// the engine replay check.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,7 +9,6 @@
 #include "core/validate.hpp"
 #include "graph/topologies/clique.hpp"
 #include "graph/topologies/grid.hpp"
-#include "sched/dependency_graph.hpp"
 #include "sched/online.hpp"
 #include "sim/runtime.hpp"
 
@@ -74,57 +73,6 @@ TEST(ArrivalSources, HotObjectAlwaysTouchesObjectZero) {
   }
 }
 
-TEST(IncrementalGraph, MatchesBatchBuilderOnFullSubset) {
-  const Grid g(6);
-  const DenseMetric m(g.graph);
-  Rng rng(11);
-  const Instance inst = generate_uniform(
-      g.graph, {.num_objects = 6, .objects_per_txn = 3}, rng);
-
-  // One pool, and three pools (object o in pool o mod 3) so the window
-  // view is a real k-way merge of per-pool slices.
-  std::vector<std::uint32_t> object_shard(inst.num_objects());
-  for (ObjectId o = 0; o < inst.num_objects(); ++o) object_shard[o] = o % 3;
-  const IncrementalConflictGraph single(m, inst.num_objects());
-  const IncrementalConflictGraph sharded(m, object_shard, 3);
-  for (IncrementalConflictGraph inc : {single, sharded}) {
-    SCOPED_TRACE(inc.num_shards());
-    std::vector<TxnId> all;
-    for (TxnId t = 0; t < inst.num_transactions(); ++t) {
-      inc.add_txn(t, inst.txn(t).home, inst.txn(t).objects);
-      all.push_back(t);
-    }
-    const DependencyGraph batch = build_dependency_graph(inst, m, all);
-    const DependencyGraph view = inc.subgraph(all);
-    ASSERT_EQ(view.txns, batch.txns);
-    ASSERT_EQ(view.offsets, batch.offsets);
-    ASSERT_EQ(view.edges.size(), batch.edges.size());
-    for (std::size_t i = 0; i < view.edges.size(); ++i) {
-      EXPECT_EQ(view.edges[i].neighbor, batch.edges[i].neighbor);
-      EXPECT_EQ(view.edges[i].weight, batch.edges[i].weight);
-    }
-    EXPECT_EQ(view.max_degree, batch.max_degree);
-    EXPECT_EQ(view.max_edge_weight, batch.max_edge_weight);
-  }
-}
-
-TEST(IncrementalGraph, RetireStopsFutureConflicts) {
-  const Clique c(4);
-  const DenseMetric m(c.graph);
-  IncrementalConflictGraph inc(m, 1);
-  const std::vector<ObjectId> o0 = {0};
-  inc.add_txn(0, 0, o0);
-  inc.add_txn(1, 1, o0);  // conflicts with 0
-  EXPECT_EQ(inc.num_edges(), 1u);
-  inc.retire(0, o0);
-  inc.add_txn(2, 2, o0);  // only 1 still live
-  EXPECT_EQ(inc.num_edges(), 2u);
-  EXPECT_EQ(inc.live(), 2u);
-  // The T0-T1 edge remains visible to subgraphs containing both.
-  const std::vector<TxnId> both = {0, 1};
-  EXPECT_EQ(inc.subgraph(both).edges.size(), 2u);  // one edge, two arcs
-}
-
 StreamingRuntime run_stream(const Graph& g, const Metric& m,
                             ArrivalModel model, double rate, std::size_t n,
                             StreamingRuntimeOptions opts,
@@ -157,10 +105,9 @@ TEST(StreamingRuntime, FeasibleValidatedAndReplayable) {
 TEST(StreamingRuntime, MatchesOnlineBatchSchedulerWithoutBackpressure) {
   // With unbounded admission and distinct homes the runtime IS the
   // window-batched online scheduler run over the materialized stream:
-  // same windows, same coloring (the incremental subgraph equals the
-  // batch-built dependency graph once every conflict spans two nodes, so
-  // the streaming >=1 weight clamp is a no-op), same placement
-  // arithmetic.
+  // same windows, same coloring (both color the batch-built dependency
+  // graph, and once every conflict spans two nodes the streaming >=1
+  // weight clamp is a no-op), same placement arithmetic.
   const Grid g(6);
   const DenseMetric m(g.graph);
   Rng rng(23);

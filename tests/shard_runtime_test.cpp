@@ -335,8 +335,6 @@ void expect_same_stats(const StreamStats& a, const StreamStats& b,
   EXPECT_EQ(a.peak_backlog, b.peak_backlog) << label;
   EXPECT_DOUBLE_EQ(a.mean_backlog, b.mean_backlog) << label;
   EXPECT_DOUBLE_EQ(a.throughput, b.throughput) << label;
-  EXPECT_EQ(a.dep_edges, b.dep_edges) << label;
-  EXPECT_EQ(a.dep_max_weight, b.dep_max_weight) << label;
 }
 
 class ShardIdentity : public ::testing::TestWithParam<int> {};

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <string>
@@ -492,6 +493,38 @@ TEST(JsonReader, NestingCapIsExact) {
   };
   EXPECT_NO_THROW(JsonReader(nested(cap)).parse());
   EXPECT_THROW(JsonReader(nested(cap + 1)).parse(), Error);
+}
+
+// Typed reads throw on a wrong kind instead of reading 0 or empty, and
+// integer reads reject anything that is not whole and in range before any
+// conversion (an out-of-range double -> integer cast is undefined).
+TEST(JsonReader, TypedAccessorsCheckKindAndRange) {
+  const JsonValue v =
+      JsonReader(R"({"n": 3, "s": "x", "a": [1], "o": {}})").parse();
+  EXPECT_EQ(v.find("n")->as_number(), 3.0);
+  EXPECT_EQ(v.find("s")->as_string(), "x");
+  EXPECT_EQ(v.find("a")->as_array().size(), 1u);
+  EXPECT_TRUE(v.find("o")->as_object().empty());
+  EXPECT_THROW(v.find("s")->as_number(), Error);
+  EXPECT_THROW(v.find("n")->as_string(), Error);
+  EXPECT_THROW(v.find("o")->as_array(), Error);
+  EXPECT_THROW(v.find("a")->as_object(), Error);
+
+  const auto num = [](const char* text) { return JsonReader(text).parse(); };
+  EXPECT_EQ(num("0").as_uint(), 0u);
+  EXPECT_EQ(num("1919").as_uint(), 1919u);
+  EXPECT_EQ(num("18446744073709549568").as_uint(),  // largest double < 2^64
+            18446744073709549568ull);
+  EXPECT_EQ(num("-5").as_int(), -5);
+  EXPECT_EQ(num("-9223372036854775808").as_int(),
+            std::numeric_limits<std::int64_t>::min());
+  for (const char* bad : {"-1", "2.5", "1e30", "18446744073709551616"}) {
+    EXPECT_THROW(num(bad).as_uint(), Error) << bad;
+  }
+  for (const char* bad : {"0.5", "1e30", "9223372036854775808"}) {
+    EXPECT_THROW(num(bad).as_int(), Error) << bad;
+  }
+  EXPECT_THROW(num("\"7\"").as_uint(), Error);
 }
 
 }  // namespace

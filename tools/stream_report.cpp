@@ -29,6 +29,10 @@
 //    metrics_test pins against an engine replay.
 // --json emits the whole report (and the validation verdict) as one JSON
 // document instead of tables.
+// Malformed input exits 2 with the file and line: a value of the wrong
+// JSON kind, a count, sum, min, max or bucket entry that is not a
+// non-negative whole number, or a bucket index at or past
+// hdr::kNumBuckets.
 #include <algorithm>
 #include <cstdint>
 #include <fstream>
@@ -55,13 +59,18 @@ using dtm::JsonWriter;
 using dtm::Table;
 
 struct SampleRow {
-  std::map<std::string, double> fields;
-  double field(const std::string& name) const {
+  /// Numeric fields only (checked when the row is parsed).
+  std::map<std::string, JsonValue> fields;
+  const JsonValue& at(const std::string& name) const {
     const auto it = fields.find(name);
     DTM_REQUIRE(it != fields.end(), "sample row missing field " << name);
     return it->second;
   }
-  bool has(const std::string& name) const { return fields.count(name) != 0; }
+  double field(const std::string& name) const { return at(name).number; }
+  /// A field that counts transactions: a non-negative whole number.
+  std::uint64_t count(const std::string& name) const {
+    return at(name).as_uint();
+  }
 };
 
 struct ParsedMetrics {
@@ -70,6 +79,52 @@ struct ParsedMetrics {
   std::map<std::string, std::int64_t> gauges;
   std::map<std::string, HistogramSnapshot> histograms;
 };
+
+/// Folds one non-header line into `out`. Every value is read through the
+/// typed accessors: a wrong-kind field or a number that is not a
+/// non-negative whole count (a bucket index also below hdr::kNumBuckets)
+/// throws dtm::Error before any integer conversion.
+void parse_record(const JsonValue& v, ParsedMetrics& out) {
+  if (const JsonValue* series = v.find("series")) {
+    SampleRow row;
+    for (const auto& [k, fv] : v.as_object()) {
+      if (k == "series") continue;
+      fv.as_number();
+      row.fields[k] = fv;
+    }
+    out.series[series->as_string()].push_back(std::move(row));
+    return;
+  }
+  if (const JsonValue* gauge = v.find("gauge")) {
+    const JsonValue* value = v.find("value");
+    DTM_REQUIRE(value != nullptr, "gauge line without value");
+    out.gauges[gauge->as_string()] = value->as_int();
+    return;
+  }
+  if (const JsonValue* hist = v.find("hist")) {
+    for (const char* f : {"count", "sum", "min", "max", "buckets"}) {
+      DTM_REQUIRE(v.find(f) != nullptr, "hist line without " << f);
+    }
+    HistogramSnapshot h;
+    h.count = v.find("count")->as_uint();
+    h.sum = v.find("sum")->as_uint();
+    h.min = v.find("min")->as_uint();
+    h.max = v.find("max")->as_uint();
+    for (const JsonValue& b : v.find("buckets")->as_array()) {
+      DTM_REQUIRE(b.as_array().size() == 2,
+                  "bucket entry must be [idx, count]");
+      const std::uint64_t idx = b.arr[0].as_uint();
+      DTM_REQUIRE(idx < dtm::hdr::kNumBuckets,
+                  "bucket index " << idx << " out of range (< "
+                                  << dtm::hdr::kNumBuckets << ")");
+      h.buckets.emplace_back(static_cast<std::uint32_t>(idx),
+                             b.arr[1].as_uint());
+    }
+    out.histograms[hist->as_string()] = std::move(h);
+    return;
+  }
+  DTM_REQUIRE(false, "unrecognized line kind");
+}
 
 ParsedMetrics parse_file(const std::string& path) {
   std::ifstream in(path);
@@ -81,57 +136,27 @@ ParsedMetrics parse_file(const std::string& path) {
   while (std::getline(in, line)) {
     ++lineno;
     if (line.empty()) continue;
-    JsonValue v = JsonReader(line).parse();
-    if (const JsonValue* schema = v.find("schema")) {
-      DTM_REQUIRE(schema->str == "dtm-metrics-v1",
-                  path << ":" << lineno << ": unsupported schema '"
-                       << schema->str << "' (expected dtm-metrics-v1)");
-      DTM_REQUIRE(!saw_header, path << ":" << lineno << ": duplicate header");
-      saw_header = true;
-      if (const JsonValue* prov = v.find("provenance")) {
-        for (const auto& [k, pv] : prov->obj) out.provenance[k] = pv.str;
+    try {
+      JsonValue v = JsonReader(line).parse();
+      if (const JsonValue* schema = v.find("schema")) {
+        DTM_REQUIRE(schema->as_string() == "dtm-metrics-v1",
+                    "unsupported schema '" << schema->str
+                                           << "' (expected dtm-metrics-v1)");
+        DTM_REQUIRE(!saw_header, "duplicate header");
+        saw_header = true;
+        if (const JsonValue* prov = v.find("provenance")) {
+          for (const auto& [k, pv] : prov->as_object()) {
+            out.provenance[k] = pv.as_string();
+          }
+        }
+        continue;
       }
-      continue;
+      DTM_REQUIRE(saw_header,
+                  "first line must be the dtm-metrics-v1 header");
+      parse_record(v, out);
+    } catch (const Error& e) {
+      throw Error(path + ":" + std::to_string(lineno) + ": " + e.what());
     }
-    DTM_REQUIRE(saw_header,
-                path << ":" << lineno
-                     << ": first line must be the dtm-metrics-v1 header");
-    if (const JsonValue* series = v.find("series")) {
-      SampleRow row;
-      for (const auto& [k, fv] : v.obj) {
-        if (k == "series") continue;
-        row.fields[k] = fv.number;
-      }
-      out.series[series->str].push_back(std::move(row));
-      continue;
-    }
-    if (const JsonValue* gauge = v.find("gauge")) {
-      const JsonValue* value = v.find("value");
-      DTM_REQUIRE(value != nullptr,
-                  path << ":" << lineno << ": gauge line without value");
-      out.gauges[gauge->str] = static_cast<std::int64_t>(value->number);
-      continue;
-    }
-    if (const JsonValue* hist = v.find("hist")) {
-      HistogramSnapshot h;
-      for (const char* f : {"count", "sum", "min", "max", "buckets"}) {
-        DTM_REQUIRE(v.find(f) != nullptr,
-                    path << ":" << lineno << ": hist line without " << f);
-      }
-      h.count = static_cast<std::uint64_t>(v.find("count")->number);
-      h.sum = static_cast<std::uint64_t>(v.find("sum")->number);
-      h.min = static_cast<std::uint64_t>(v.find("min")->number);
-      h.max = static_cast<std::uint64_t>(v.find("max")->number);
-      for (const JsonValue& b : v.find("buckets")->arr) {
-        DTM_REQUIRE(b.arr.size() == 2,
-                    path << ":" << lineno << ": bucket entry must be [idx, count]");
-        h.buckets.emplace_back(static_cast<std::uint32_t>(b.arr[0].number),
-                               static_cast<std::uint64_t>(b.arr[1].number));
-      }
-      out.histograms[hist->str] = std::move(h);
-      continue;
-    }
-    DTM_REQUIRE(false, path << ":" << lineno << ": unrecognized line kind");
   }
   DTM_REQUIRE(saw_header, path << ": empty file (no dtm-metrics-v1 header)");
   return out;
@@ -155,7 +180,7 @@ StreamSummary summarize_stream(const std::vector<SampleRow>& windows) {
   for (const SampleRow& r : windows) {
     const double t = r.field("t");
     const double b = r.field("backlog");
-    s.admitted += static_cast<std::uint64_t>(r.field("admitted"));
+    s.admitted += r.count("admitted");
     s.peak_backlog = std::max(s.peak_backlog, b);
     st += t;
     sb += b;
@@ -307,7 +332,7 @@ std::vector<std::string> validate(const ParsedMetrics& m) {
     if (wit != m.series.end()) {
       std::uint64_t sampled = 0;
       for (const SampleRow& r : wit->second) {
-        sampled += static_cast<std::uint64_t>(r.field("admitted"));
+        sampled += r.count("admitted");
       }
       if (sampled != admitted) {
         std::ostringstream os;
