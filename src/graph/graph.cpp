@@ -18,32 +18,76 @@ void GraphBuilder::add_edge(NodeId u, NodeId v, Weight weight) {
   edges_.push_back({u, v, weight});
 }
 
-Graph GraphBuilder::build() const {
-  Graph g;
-  g.offsets_.assign(num_nodes_ + 1, 0);
+Graph::Shape GraphBuilder::build_csr(Graph::Adjacency& adj) const {
+  Graph::Shape shape{.num_nodes = num_nodes_, .num_edges = edges_.size()};
+  adj.offsets.assign(num_nodes_ + 1, 0);
   for (const Edge& e : edges_) {
-    ++g.offsets_[e.u + 1];
-    ++g.offsets_[e.v + 1];
+    ++adj.offsets[e.u + 1];
+    ++adj.offsets[e.v + 1];
   }
   for (std::size_t i = 1; i <= num_nodes_; ++i) {
-    g.offsets_[i] += g.offsets_[i - 1];
+    adj.offsets[i] += adj.offsets[i - 1];
   }
-  g.arcs_.resize(edges_.size() * 2);
-  std::vector<std::size_t> cursor(g.offsets_.begin(), g.offsets_.end() - 1);
+  adj.arcs.resize(edges_.size() * 2);
+  std::vector<std::size_t> cursor(adj.offsets.begin(), adj.offsets.end() - 1);
   for (const Edge& e : edges_) {
-    g.arcs_[cursor[e.u]++] = {e.v, e.weight};
-    g.arcs_[cursor[e.v]++] = {e.u, e.weight};
-    g.unit_weights_ = g.unit_weights_ && e.weight == 1;
-    g.max_weight_ = std::max(g.max_weight_, e.weight);
+    adj.arcs[cursor[e.u]++] = {e.v, e.weight};
+    adj.arcs[cursor[e.v]++] = {e.u, e.weight};
+    shape.max_weight = std::max(shape.max_weight, e.weight);
   }
   for (NodeId u = 0; u < num_nodes_; ++u) {
-    auto begin = g.arcs_.begin() + static_cast<std::ptrdiff_t>(g.offsets_[u]);
-    auto end = g.arcs_.begin() + static_cast<std::ptrdiff_t>(g.offsets_[u + 1]);
+    auto begin = adj.arcs.begin() + static_cast<std::ptrdiff_t>(adj.offsets[u]);
+    auto end = adj.arcs.begin() + static_cast<std::ptrdiff_t>(adj.offsets[u + 1]);
     std::sort(begin, end, [](const Arc& a, const Arc& b) {
       return a.to != b.to ? a.to < b.to : a.weight < b.weight;
     });
   }
+  return shape;
+}
+
+Graph GraphBuilder::build() const {
+  Graph g;
+  g.state_ = std::make_shared<Graph::State>();
+  g.shape_ = build_csr(g.state_->adj);
+  g.state_->ready.store(true, std::memory_order_release);
   return g;
+}
+
+Graph::Graph(Shape shape, std::string family, Fill fill)
+    : shape_(shape), state_(std::make_shared<State>()) {
+  DTM_REQUIRE(shape.num_nodes > 0 && shape.num_nodes < kInvalidNode,
+              family << " graph: node count " << shape.num_nodes
+                     << " out of range");
+  state_->family = std::move(family);
+  state_->fill = std::move(fill);
+}
+
+void Graph::fill_adjacency() const {
+  State& st = *state_;
+  const std::lock_guard lock(st.mu);
+  if (st.ready.load(std::memory_order_relaxed)) return;
+  GraphBuilder b(shape_.num_nodes);
+  st.fill(b);
+  Adjacency adj;
+  const Shape built = b.build_csr(adj);
+  DTM_REQUIRE(built == shape_,
+              st.family << " graph: built " << built.num_nodes << " nodes, "
+                        << built.num_edges << " edges, max weight "
+                        << built.max_weight
+                        << ", but its closed-form shape promised "
+                        << shape_.num_nodes << ", " << shape_.num_edges
+                        << ", " << shape_.max_weight);
+  st.adj = std::move(adj);
+  st.fill = nullptr;
+  st.ready.store(true, std::memory_order_release);
+}
+
+bool operator==(const Graph& a, const Graph& b) {
+  if (a.shape_ != b.shape_) return false;
+  if (a.state_ == b.state_ || a.num_nodes() == 0) return true;
+  const Graph::Adjacency& x = a.adjacency();
+  const Graph::Adjacency& y = b.adjacency();
+  return x.offsets == y.offsets && x.arcs == y.arcs;
 }
 
 bool Graph::connected() const {

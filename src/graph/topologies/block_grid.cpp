@@ -18,18 +18,28 @@ BlockGrid::BlockGrid(std::size_t s_in)
       rows(s_in),
       cols(s_in * sqrt_s) {
   DTM_REQUIRE(s >= 1, "block grid needs s >= 1");
-  GraphBuilder b(rows * cols);
-  for (std::size_t r = 0; r < rows; ++r) {
-    for (std::size_t c = 0; c < cols; ++c) {
-      if (r + 1 < rows) b.add_edge(node_at(r, c), node_at(r + 1, c), 1);
-      if (c + 1 < cols) {
-        const bool crosses_blocks = (c + 1) % sqrt_s == 0;
-        b.add_edge(node_at(r, c), node_at(r, c + 1),
-                   crosses_blocks ? static_cast<Weight>(s) : 1);
-      }
-    }
-  }
-  graph = b.build();
+  // A full rows × cols mesh; with s ≥ 2 blocks some horizontal edges
+  // cross a block boundary and weigh s (s = 1 is a single node).
+  graph = Graph(
+      {.num_nodes = rows * cols,
+       .num_edges = (rows - 1) * cols + rows * (cols - 1),
+       .max_weight = s == 1 ? 0 : static_cast<Weight>(s)},
+      "block_grid",
+      [s = s, sqrt_s = sqrt_s, rows = rows, cols = cols](GraphBuilder& b) {
+        const auto at = [cols](std::size_t r, std::size_t c) {
+          return static_cast<NodeId>(r * cols + c);
+        };
+        for (std::size_t r = 0; r < rows; ++r) {
+          for (std::size_t c = 0; c < cols; ++c) {
+            if (r + 1 < rows) b.add_edge(at(r, c), at(r + 1, c), 1);
+            if (c + 1 < cols) {
+              const bool crosses_blocks = (c + 1) % sqrt_s == 0;
+              b.add_edge(at(r, c), at(r, c + 1),
+                         crosses_blocks ? static_cast<Weight>(s) : 1);
+            }
+          }
+        }
+      });
 }
 
 std::vector<NodeId> BlockGrid::block_nodes(std::size_t block) const {

@@ -19,26 +19,36 @@ BlockTree::BlockTree(std::size_t s_in)
       rows(s_in),
       cols(s_in * sqrt_s) {
   DTM_REQUIRE(s >= 1, "block tree needs s >= 1");
-  GraphBuilder b(rows * cols);
-  for (std::size_t block = 0; block < s; ++block) {
-    const std::size_t c0 = block * sqrt_s;
-    // Spine: the block's leftmost column.
-    for (std::size_t r = 0; r + 1 < rows; ++r) {
-      b.add_edge(node_at(r, c0), node_at(r + 1, c0), 1);
-    }
-    // Rows: horizontal paths hanging off the spine.
-    for (std::size_t r = 0; r < rows; ++r) {
-      for (std::size_t c = c0; c + 1 < c0 + sqrt_s; ++c) {
-        b.add_edge(node_at(r, c), node_at(r, c + 1), 1);
-      }
-    }
-    // One weight-s edge to the next block, through the topmost row.
-    if (block + 1 < s) {
-      b.add_edge(node_at(0, c0 + sqrt_s - 1), node_at(0, c0 + sqrt_s),
-                 static_cast<Weight>(s));
-    }
-  }
-  graph = b.build();
+  // A spanning tree (n − 1 edges); with s ≥ 2 blocks the inter-block
+  // edges weigh s (s = 1 is a single node).
+  graph = Graph(
+      {.num_nodes = rows * cols,
+       .num_edges = rows * cols - 1,
+       .max_weight = s == 1 ? 0 : static_cast<Weight>(s)},
+      "block_tree",
+      [s = s, sqrt_s = sqrt_s, rows = rows, cols = cols](GraphBuilder& b) {
+        const auto at = [cols](std::size_t r, std::size_t c) {
+          return static_cast<NodeId>(r * cols + c);
+        };
+        for (std::size_t block = 0; block < s; ++block) {
+          const std::size_t c0 = block * sqrt_s;
+          // Spine: the block's leftmost column.
+          for (std::size_t r = 0; r + 1 < rows; ++r) {
+            b.add_edge(at(r, c0), at(r + 1, c0), 1);
+          }
+          // Rows: horizontal paths hanging off the spine.
+          for (std::size_t r = 0; r < rows; ++r) {
+            for (std::size_t c = c0; c + 1 < c0 + sqrt_s; ++c) {
+              b.add_edge(at(r, c), at(r, c + 1), 1);
+            }
+          }
+          // One weight-s edge to the next block, through the topmost row.
+          if (block + 1 < s) {
+            b.add_edge(at(0, c0 + sqrt_s - 1), at(0, c0 + sqrt_s),
+                       static_cast<Weight>(s));
+          }
+        }
+      });
 }
 
 Weight BlockTree::distance_for(std::size_t s, std::size_t sqrt_s,

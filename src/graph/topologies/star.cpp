@@ -9,14 +9,20 @@ Star::Star(std::size_t alpha_in, std::size_t beta_in)
     : alpha(alpha_in), beta(beta_in) {
   DTM_REQUIRE(alpha >= 1, "star needs at least one ray");
   DTM_REQUIRE(beta >= 1, "rays need at least one node");
-  GraphBuilder b(num_nodes());
-  for (std::size_t r = 0; r < alpha; ++r) {
-    b.add_edge(center(), node_at(r, 1), 1);
-    for (std::size_t p = 1; p < beta; ++p) {
-      b.add_edge(node_at(r, p), node_at(r, p + 1), 1);
-    }
-  }
-  graph = b.build();
+  // A tree: one edge per non-center node.
+  graph = Graph(
+      {.num_nodes = num_nodes(), .num_edges = alpha * beta, .max_weight = 1},
+      "star", [alpha = alpha, beta = beta](GraphBuilder& b) {
+        const auto at = [beta](std::size_t ray, std::size_t pos) {
+          return static_cast<NodeId>(1 + ray * beta + (pos - 1));
+        };
+        for (std::size_t r = 0; r < alpha; ++r) {
+          b.add_edge(0, at(r, 1), 1);
+          for (std::size_t p = 1; p < beta; ++p) {
+            b.add_edge(at(r, p), at(r, p + 1), 1);
+          }
+        }
+      });
 }
 
 std::size_t Star::num_segments() const {

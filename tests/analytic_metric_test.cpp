@@ -7,6 +7,8 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "graph/analytic_metric.hpp"
@@ -242,6 +244,34 @@ TEST(DetectTopology, RecognizesNewFamilies) {
   EXPECT_EQ(detect_topology(Clique(2).graph), TopologyKind::kLine);
   EXPECT_EQ(detect_topology(Hypercube(1).graph), TopologyKind::kLine);
   EXPECT_EQ(detect_topology(Hypercube(2).graph), TopologyKind::kGrid);
+}
+
+TEST(DetectTopology, SameShapeImpostorsAreRejected) {
+  // A relabeled path: a Line(5)'s shape, not its CSR.
+  GraphBuilder path(5);
+  for (auto [u, v] :
+       {std::pair<NodeId, NodeId>{0, 2}, {2, 1}, {1, 3}, {3, 4}}) {
+    path.add_edge(u, v);
+  }
+  EXPECT_EQ(detect_topology(path.build()), std::nullopt);
+  // Two triangles bridged between non-bridge nodes: ClusterGraph(2, 3, 5)'s
+  // shape, not its CSR.
+  GraphBuilder bridged(6);
+  for (NodeId c : {0u, 3u}) {
+    bridged.add_edge(c, c + 1);
+    bridged.add_edge(c, c + 2);
+    bridged.add_edge(c + 1, c + 2);
+  }
+  bridged.add_edge(1, 4, 5);
+  EXPECT_EQ(recover_cluster(bridged.build()), nullptr);
+}
+
+TEST(DetectTopology, ShapeMismatchLeavesAdjacencyUnbuilt) {
+  // No family shares Butterfly(3)'s shape, so no candidate's CSR (nor the
+  // input's) is ever built.
+  const Butterfly bf(3);
+  EXPECT_EQ(detect_topology(bf.graph), std::nullopt);
+  EXPECT_FALSE(bf.graph.materialized());
 }
 
 TEST(DenseMetricGuard, RefusesOverCapMatrices) {

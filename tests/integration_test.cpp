@@ -8,6 +8,7 @@
 
 #include "core/generators.hpp"
 #include "core/metrics.hpp"
+#include "graph/analytic_metric.hpp"
 #include "lb/bounds.hpp"
 #include "lb/lb_instances.hpp"
 #include "sched/cluster.hpp"
@@ -42,6 +43,28 @@ PipelineResult pipeline(Scheduler& sched, const Instance& inst,
   EXPECT_GE(sm.communication, 0);
   EXPECT_EQ(sm.makespan, r.makespan);
   return r;
+}
+
+// The family schedulers, validate and simulate need only distances, which
+// the closed-form oracle answers, so a batch pass must leave the topology's
+// CSR unbuilt (building it once dominated set-up at scale).
+TEST(Integration, AnalyticBatchPassLeavesAdjacencyUnbuilt) {
+  Rng rng(1000);
+  const ClusterGraph cluster(12, 6, 6);
+  const auto cm = make_analytic_metric(cluster);
+  const Instance ci = generate_uniform(
+      cluster.graph, {.num_objects = 10, .objects_per_txn = 2}, rng);
+  ClusterScheduler cs(cluster, {.approach = ClusterApproach::kGreedy});
+  EXPECT_GT(test::run_and_check(cs, ci, *cm).makespan(), 0);
+  EXPECT_FALSE(cluster.graph.materialized());
+
+  const Grid grid(9);
+  const auto gm = make_analytic_metric(grid);
+  const Instance gi = generate_uniform(
+      grid.graph, {.num_objects = 10, .objects_per_txn = 2}, rng);
+  GridScheduler gs(grid);
+  EXPECT_GT(test::run_and_check(gs, gi, *gm).makespan(), 0);
+  EXPECT_FALSE(grid.graph.materialized());
 }
 
 TEST(Integration, CliquePipeline) {

@@ -2,6 +2,12 @@
 // checks that the closed-form distance helpers agree with graph search.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "core/io.hpp"
 #include "graph/metric.hpp"
 #include "graph/shortest_paths.hpp"
 #include "graph/topologies/block_grid.hpp"
@@ -333,6 +339,90 @@ TEST_P(AllTopologies, ConnectedWithExpectedSize) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, AllTopologies, ::testing::Range(0, 9));
+
+// Every family promises its shape in closed form and builds its CSR only
+// on first touch. Small parameters, degenerate ones included.
+struct ShapeCase {
+  std::string name;
+  std::function<Graph()> make;  // the family object dies; its graph lives
+};
+
+std::vector<ShapeCase> shape_cases() {
+  std::vector<ShapeCase> out;
+  const auto add = [&out](std::string name, std::function<Graph()> make) {
+    out.push_back({std::move(name), std::move(make)});
+  };
+  for (std::size_t n : {1, 2, 3, 6}) {
+    add("line " + std::to_string(n), [n] { return Line(n).graph; });
+    add("clique " + std::to_string(n), [n] { return Clique(n).graph; });
+  }
+  for (auto [r, c] : {std::pair<std::size_t, std::size_t>{1, 1}, {1, 4},
+                      {4, 1}, {3, 5}}) {
+    add("grid " + std::to_string(r) + "x" + std::to_string(c),
+        [r, c] { return Grid(r, c).graph; });
+  }
+  struct ClusterParams {
+    std::size_t alpha, beta;
+    Weight gamma;
+  };
+  for (ClusterParams p : {ClusterParams{1, 1, 1}, {1, 4, 3}, {3, 1, 5},
+                          {3, 4, 1}, {4, 3, 7}, {2, 2, 2}}) {
+    add("cluster " + std::to_string(p.alpha) + "x" + std::to_string(p.beta) +
+            " gamma " + std::to_string(p.gamma),
+        [p] { return ClusterGraph(p.alpha, p.beta, p.gamma).graph; });
+  }
+  for (auto [a, b] : {std::pair<std::size_t, std::size_t>{1, 1}, {3, 1},
+                      {1, 4}, {2, 5}}) {
+    add("star " + std::to_string(a) + "x" + std::to_string(b),
+        [a, b] { return Star(a, b).graph; });
+  }
+  for (std::size_t d : {1, 2, 4}) {
+    add("hypercube " + std::to_string(d), [d] { return Hypercube(d).graph; });
+    add("butterfly " + std::to_string(d), [d] { return Butterfly(d).graph; });
+  }
+  for (std::size_t s : {1, 4, 9}) {
+    add("block_grid " + std::to_string(s), [s] { return BlockGrid(s).graph; });
+    add("block_tree " + std::to_string(s), [s] { return BlockTree(s).graph; });
+  }
+  return out;
+}
+
+// The same edges laid out by GraphBuilder, which derives the shape from
+// the edges themselves.
+Graph explicit_copy(const Graph& g) {
+  GraphBuilder b(g.num_nodes());
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    for (const Arc& a : g.neighbors(u)) {
+      if (u < a.to) b.add_edge(u, a.to, a.weight);
+    }
+  }
+  return b.build();
+}
+
+TEST(LazyTopology, ClosedFormShapeMatchesBuiltCsr) {
+  for (const ShapeCase& c : shape_cases()) {
+    SCOPED_TRACE(c.name);
+    const Graph lazy = c.make();
+    ASSERT_FALSE(lazy.materialized());
+    const Graph::Shape promised = lazy.shape();
+
+    const Graph filled = c.make();
+    const Graph expl = explicit_copy(filled);
+    ASSERT_TRUE(filled.materialized());
+    EXPECT_EQ(filled.shape(), promised);
+    EXPECT_EQ(expl.shape(), promised);
+
+    EXPECT_TRUE(lazy == expl);  // fills `lazy`
+    EXPECT_TRUE(lazy.materialized());
+    EXPECT_TRUE(expl == c.make());
+
+    std::stringstream io;
+    write_graph(io, c.make());
+    const Graph read = read_graph(io);
+    EXPECT_TRUE(read == lazy);
+    EXPECT_TRUE(c.make() == read);
+  }
+}
 
 }  // namespace
 }  // namespace dtm

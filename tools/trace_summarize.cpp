@@ -51,75 +51,98 @@ bool cat_from_string(const std::string& s, TraceCat* out) {
   return true;
 }
 
+// Every arg value is an integer (TraceArg); anything else is malformed.
 std::vector<dtm::TraceArg> args_of(const JsonValue& ev) {
   std::vector<dtm::TraceArg> out;
   if (const JsonValue* args = ev.find("args")) {
-    for (const auto& [k, v] : args->obj) {
-      if (v.kind == JsonValue::Kind::kNumber) {
-        out.push_back({k, static_cast<std::int64_t>(v.number)});
-      }
-    }
+    for (const auto& [k, v] : args->as_object()) out.push_back({k, v.as_int()});
   }
   return out;
+}
+
+// Prefixes a dtm::Error thrown by `read` with the record it was reading.
+template <class Read>
+void in_record(const std::string& where, const Read& read) {
+  try {
+    read();
+  } catch (const Error& e) {
+    throw Error(where + ": " + e.what());
+  }
+}
+
+void read_provenance(const JsonValue& prov, ParsedTrace& out) {
+  for (const auto& [k, v] : prov.as_object()) out.provenance[k] = v.as_string();
 }
 
 ParsedTrace parse_chrome(const JsonValue& doc) {
   ParsedTrace out;
   if (const JsonValue* other = doc.find("otherData")) {
     if (const JsonValue* schema = other->find("schema")) {
-      out.schema = schema->str;
+      out.schema = schema->as_string();
     }
     if (const JsonValue* prov = other->find("provenance")) {
-      for (const auto& [k, v] : prov->obj) out.provenance[k] = v.str;
+      read_provenance(*prov, out);
     }
   }
   const JsonValue* evs = doc.find("traceEvents");
   DTM_REQUIRE(evs != nullptr, "chrome trace: no traceEvents array");
   // pid/tid -> track name from the "M" thread_name metadata.
-  std::map<std::pair<int, int>, std::string> tracks;
-  for (const JsonValue& ev : evs->arr) {
-    const JsonValue* ph = ev.find("ph");
-    if (ph == nullptr || ph->str != "M") continue;
-    const JsonValue* name = ev.find("name");
-    if (name == nullptr || name->str != "thread_name") continue;
-    const JsonValue* args = ev.find("args");
-    const JsonValue* pid = ev.find("pid");
-    const JsonValue* tid = ev.find("tid");
-    if (args == nullptr || pid == nullptr || tid == nullptr) continue;
-    if (const JsonValue* track = args->find("name")) {
-      tracks[{static_cast<int>(pid->number), static_cast<int>(tid->number)}] =
-          track->str;
-    }
-  }
-  for (const JsonValue& ev : evs->arr) {
-    const JsonValue* ph = ev.find("ph");
-    if (ph == nullptr || (ph->str != "X" && ph->str != "i")) continue;
-    const JsonValue* name = ev.find("name");
-    const JsonValue* cat = ev.find("cat");
-    const JsonValue* ts = ev.find("ts");
-    const JsonValue* pid = ev.find("pid");
-    const JsonValue* tid = ev.find("tid");
-    DTM_REQUIRE(name != nullptr && cat != nullptr && ts != nullptr &&
-                    pid != nullptr && tid != nullptr,
-                "chrome trace: event missing name/cat/ts/pid/tid");
-    TraceSpanRecord rec;
-    DTM_REQUIRE(cat_from_string(cat->str, &rec.cat),
-                "chrome trace: unknown category '" << cat->str << "'");
-    rec.instant = ph->str == "i";
-    rec.wall = static_cast<int>(pid->number) != 0;
-    rec.begin = ts->number;
-    rec.end = ts->number;
-    if (!rec.instant) {
-      if (const JsonValue* dur = ev.find("dur")) {
-        rec.end = ts->number + dur->number;
+  using TrackKey = std::pair<std::int64_t, std::int64_t>;
+  std::map<TrackKey, std::string> tracks;
+  const std::vector<JsonValue>& events = evs->as_array();
+  const auto where = [](std::size_t i) {
+    return "chrome trace: traceEvents[" + std::to_string(i) + "]";
+  };
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    in_record(where(i), [&] {
+      const JsonValue& ev = events[i];
+      const JsonValue* ph = ev.find("ph");
+      if (ph == nullptr || ph->as_string() != "M") return;
+      const JsonValue* name = ev.find("name");
+      if (name == nullptr || name->as_string() != "thread_name") return;
+      const JsonValue* args = ev.find("args");
+      const JsonValue* pid = ev.find("pid");
+      const JsonValue* tid = ev.find("tid");
+      if (args == nullptr || pid == nullptr || tid == nullptr) return;
+      if (const JsonValue* track = args->find("name")) {
+        tracks[{pid->as_int(), tid->as_int()}] = track->as_string();
       }
-    }
-    const auto tr = tracks.find(
-        {static_cast<int>(pid->number), static_cast<int>(tid->number)});
-    rec.track = tr != tracks.end() ? tr->second : "?";
-    rec.name = name->str;
-    rec.args = args_of(ev);
-    out.events.push_back(std::move(rec));
+    });
+  }
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    in_record(where(i), [&] {
+      const JsonValue& ev = events[i];
+      const JsonValue* ph = ev.find("ph");
+      if (ph == nullptr) return;
+      const std::string& phase = ph->as_string();
+      if (phase != "X" && phase != "i") return;
+      const JsonValue* name = ev.find("name");
+      const JsonValue* cat = ev.find("cat");
+      const JsonValue* ts = ev.find("ts");
+      const JsonValue* pid = ev.find("pid");
+      const JsonValue* tid = ev.find("tid");
+      DTM_REQUIRE(name != nullptr && cat != nullptr && ts != nullptr &&
+                      pid != nullptr && tid != nullptr,
+                  "event missing name/cat/ts/pid/tid");
+      TraceSpanRecord rec;
+      DTM_REQUIRE(cat_from_string(cat->as_string(), &rec.cat),
+                  "unknown category '" << cat->as_string() << "'");
+      const TrackKey key{pid->as_int(), tid->as_int()};
+      rec.instant = phase == "i";
+      rec.wall = key.first != 0;
+      rec.begin = ts->as_number();
+      rec.end = rec.begin;
+      if (!rec.instant) {
+        if (const JsonValue* dur = ev.find("dur")) {
+          rec.end = rec.begin + dur->as_number();
+        }
+      }
+      const auto tr = tracks.find(key);
+      rec.track = tr != tracks.end() ? tr->second : "?";
+      rec.name = name->as_string();
+      rec.args = args_of(ev);
+      out.events.push_back(std::move(rec));
+    });
   }
   return out;
 }
@@ -133,36 +156,38 @@ ParsedTrace parse_jsonl(const std::string& text) {
   while (std::getline(in, line)) {
     ++lineno;
     if (line.empty()) continue;
-    JsonValue v = JsonReader(line).parse();
-    if (first) {
-      first = false;
-      const JsonValue* schema = v.find("schema");
-      DTM_REQUIRE(schema != nullptr, "jsonl trace: line 1 has no schema");
-      out.schema = schema->str;
-      if (const JsonValue* prov = v.find("provenance")) {
-        for (const auto& [k, pv] : prov->obj) out.provenance[k] = pv.str;
+    in_record("jsonl trace: line " + std::to_string(lineno), [&] {
+      const JsonValue v = JsonReader(line).parse();
+      if (first) {
+        first = false;
+        const JsonValue* schema = v.find("schema");
+        DTM_REQUIRE(schema != nullptr, "no schema");
+        out.schema = schema->as_string();
+        if (const JsonValue* prov = v.find("provenance")) {
+          read_provenance(*prov, out);
+        }
+        return;
       }
-      continue;
-    }
-    const JsonValue* cat = v.find("cat");
-    const JsonValue* kind = v.find("kind");
-    const JsonValue* track = v.find("track");
-    const JsonValue* name = v.find("name");
-    const JsonValue* begin = v.find("begin");
-    const JsonValue* end = v.find("end");
-    DTM_REQUIRE(cat != nullptr && kind != nullptr && track != nullptr &&
-                    name != nullptr && begin != nullptr && end != nullptr,
-                "jsonl trace: line " << lineno << " missing a required key");
-    TraceSpanRecord rec;
-    DTM_REQUIRE(cat_from_string(cat->str, &rec.cat),
-                "jsonl trace: unknown category '" << cat->str << "'");
-    rec.instant = kind->str == "instant";
-    rec.track = track->str;
-    rec.name = name->str;
-    rec.begin = begin->number;
-    rec.end = end->number;
-    rec.args = args_of(v);
-    out.events.push_back(std::move(rec));
+      const JsonValue* cat = v.find("cat");
+      const JsonValue* kind = v.find("kind");
+      const JsonValue* track = v.find("track");
+      const JsonValue* name = v.find("name");
+      const JsonValue* begin = v.find("begin");
+      const JsonValue* end = v.find("end");
+      DTM_REQUIRE(cat != nullptr && kind != nullptr && track != nullptr &&
+                      name != nullptr && begin != nullptr && end != nullptr,
+                  "missing a required key");
+      TraceSpanRecord rec;
+      DTM_REQUIRE(cat_from_string(cat->as_string(), &rec.cat),
+                  "unknown category '" << cat->as_string() << "'");
+      rec.instant = kind->as_string() == "instant";
+      rec.track = track->as_string();
+      rec.name = name->as_string();
+      rec.begin = begin->as_number();
+      rec.end = end->as_number();
+      rec.args = args_of(v);
+      out.events.push_back(std::move(rec));
+    });
   }
   DTM_REQUIRE(!first, "jsonl trace: empty file");
   return out;
